@@ -9,13 +9,12 @@ use hns_core::cache::CacheMode;
 use hns_core::colocation::HnsHandle;
 use hns_core::name::HnsName;
 use nsms::harness::{Testbed, DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM};
-use nsms::nsm_cache::NsmCacheForm;
 use nsms::Importer;
 use std::hint::black_box;
 
 fn bench_binding(c: &mut Criterion) {
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.client, NsmCacheForm::Demarshalled);
+    tb.deploy_binding_nsms(tb.hosts.client, CacheMode::Demarshalled);
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
     let importer = Importer::new(Arc::clone(&tb.net), tb.hosts.client, HnsHandle::Linked(hns));
     let name = HnsName::new(tb.ctx_bind(), "fiji.cs.washington.edu").expect("name");

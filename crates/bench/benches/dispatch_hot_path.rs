@@ -35,7 +35,6 @@ use hns_core::query::QueryClass;
 use hns_core::service::Hns;
 use hrpc::{ComponentSet, HrpcBinding, ProcServer, ProgramId, RpcNet};
 use nsms::harness::{Testbed, NS_BIND, NS_CH};
-use nsms::nsm_cache::NsmCacheForm;
 use simnet::rng::DetRng;
 use simnet::topology::{HostId, NetAddr};
 use simnet::world::World;
@@ -54,7 +53,7 @@ struct WarmStack {
 
 fn build_warm_stack(composed: bool) -> WarmStack {
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
+    tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Demarshalled);
     tb.deploy_extension_nsms(tb.hosts.nsm);
     let registrar = tb.make_hns(tb.hosts.meta, CacheMode::Disabled);
     let classes = [

@@ -6,12 +6,11 @@ use hns_core::cache::CacheMode;
 use hns_core::name::HnsName;
 use hns_core::query::QueryClass;
 use nsms::harness::Testbed;
-use nsms::nsm_cache::NsmCacheForm;
 use std::hint::black_box;
 
 fn bench_findnsm(c: &mut Criterion) {
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Marshalled);
+    tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Marshalled);
     let name = HnsName::new(tb.ctx_bind(), "fiji.cs.washington.edu").expect("name");
     let qc = QueryClass::hrpc_binding();
 

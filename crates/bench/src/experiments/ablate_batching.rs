@@ -14,7 +14,6 @@ use hns_core::cache::CacheMode;
 use hns_core::name::HnsName;
 use hns_core::query::QueryClass;
 use nsms::harness::Testbed;
-use nsms::nsm_cache::NsmCacheForm;
 
 use crate::cells::PlainTable;
 
@@ -28,7 +27,7 @@ struct Run {
 
 fn measure(batching: bool) -> (Run, Run) {
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Marshalled);
+    tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Marshalled);
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Marshalled);
     hns.set_batching(batching);
     let name = HnsName::new(tb.ctx_bind(), "fiji.cs.washington.edu").expect("name");

@@ -13,7 +13,6 @@ use hns_core::name::HnsName;
 use hns_core::nsm::NsmInfo;
 use hns_core::query::QueryClass;
 use nsms::harness::Testbed;
-use nsms::nsm_cache::NsmCacheForm;
 
 use crate::cells::PlainTable;
 
@@ -154,7 +153,7 @@ pub fn update_amplification(contexts_per_ns: usize) -> (usize, usize) {
 /// Runs the ablation.
 pub fn run() -> PlainTable {
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Marshalled);
+    tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Marshalled);
     let qc = QueryClass::hrpc_binding();
 
     // Separate (the real HNS), cold.

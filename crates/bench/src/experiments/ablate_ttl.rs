@@ -12,7 +12,6 @@ use hns_core::name::HnsName;
 use hns_core::nsm::{NsmInfo, SuiteTag};
 use hns_core::query::QueryClass;
 use nsms::harness::Testbed;
-use nsms::nsm_cache::NsmCacheForm;
 use nsms::BindingBindNsm;
 
 use crate::cells::PlainTable;
@@ -32,7 +31,7 @@ pub struct TtlPoint {
 /// `move_period_s`, clients query every `query_period_s` for `total_s`.
 pub fn run_point(ttl_secs: u32, move_period_s: u64, query_period_s: u64, total_s: u64) -> TtlPoint {
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Marshalled);
+    tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Marshalled);
     // Registrar rewrites the NSM's location between two hosts.
     let registrar = tb.make_hns(tb.hosts.meta, CacheMode::Disabled);
     registrar.meta().set_record_ttl(ttl_secs);

@@ -30,7 +30,6 @@ use hns_core::name::HnsName;
 use hns_core::obs::MetricsSnapshot;
 use hrpc::RpcError;
 use nsms::harness::{Testbed, DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM};
-use nsms::nsm_cache::NsmCacheForm;
 use nsms::Importer;
 use simnet::faults::FaultPlan;
 use simnet::rng::DetRng;
@@ -133,8 +132,8 @@ fn record(
 /// Runs the chaos scenario.
 pub fn run(config: &ChaosConfig) -> ChaosRun {
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
-    let replica = tb.deploy_binding_bind_replica(tb.hosts.agent, NsmCacheForm::Demarshalled);
+    tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Demarshalled);
+    let replica = tb.deploy_binding_bind_replica(tb.hosts.agent, CacheMode::Demarshalled);
     let warm = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
     let cold = tb.make_hns(tb.hosts.client, CacheMode::Disabled);
     let importer = Importer::new(

@@ -7,7 +7,6 @@ use std::sync::Arc;
 use baselines::{InterimBinder, ReregisteredChBinder};
 use hns_core::cache::CacheMode;
 use nsms::harness::{Testbed, DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM};
-use nsms::nsm_cache::NsmCacheForm;
 
 use crate::cells::{Cell, PaperTable};
 use crate::scenario::{deploy, Arrangement, CacheState};
@@ -17,13 +16,13 @@ pub fn run() -> PaperTable {
     // HNS extremes from the colocation table.
     let best = deploy(
         Arrangement::AllLinked,
-        NsmCacheForm::Marshalled,
+        CacheMode::Marshalled,
         CacheMode::Marshalled,
     );
     let hns_min = best.measure(CacheState::BothHit);
     let worst = deploy(
         Arrangement::AllRemote,
-        NsmCacheForm::Marshalled,
+        CacheMode::Marshalled,
         CacheMode::Marshalled,
     );
     let hns_max = worst.measure(CacheState::Miss);

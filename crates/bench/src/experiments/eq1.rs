@@ -3,7 +3,6 @@
 
 use hns_core::analysis::Eq1Inputs;
 use hns_core::cache::CacheMode;
-use nsms::nsm_cache::NsmCacheForm;
 
 use crate::cells::{Cell, PaperTable, PlainTable};
 use crate::scenario::{deploy, Arrangement, CacheState};
@@ -36,7 +35,7 @@ pub fn run() -> Eq1Results {
     // Our measured equivalents, from the same cells of our Table 3.1.
     let row5 = deploy(
         Arrangement::AllRemote,
-        NsmCacheForm::Marshalled,
+        CacheMode::Marshalled,
         CacheMode::Marshalled,
     );
     let measured_hns = Eq1Inputs {
@@ -46,7 +45,7 @@ pub fn run() -> Eq1Results {
     };
     let row4 = deploy(
         Arrangement::RemoteNsms,
-        NsmCacheForm::Marshalled,
+        CacheMode::Marshalled,
         CacheMode::Marshalled,
     );
     let measured_nsm = Eq1Inputs {

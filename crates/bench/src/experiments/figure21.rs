@@ -12,13 +12,12 @@ use hns_core::name::HnsName;
 use nsms::harness::{
     Testbed, DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, PRINT_SERVICE, PRINT_SERVICE_PROGRAM,
 };
-use nsms::nsm_cache::NsmCacheForm;
 use nsms::Importer;
 
 /// Runs the walkthrough and returns the rendered trace.
 pub fn run() -> String {
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
+    tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Demarshalled);
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
     let importer = Importer::new(Arc::clone(&tb.net), tb.hosts.client, HnsHandle::Linked(hns));
 

@@ -21,7 +21,6 @@ use hns_core::name::{Context, HnsName, NameMapping};
 use hns_core::query::QueryClass;
 use hrpc::{ComponentSet, HrpcBinding};
 use nsms::harness::{Testbed, NS_BIND, NS_CH};
-use nsms::nsm_cache::NsmCacheForm;
 use simnet::rng::DetRng;
 use simnet::topology::NetAddr;
 
@@ -65,7 +64,7 @@ pub struct HitRatioResults {
 
 fn setup() -> (Testbed, Vec<(QueryClass, HnsName)>) {
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Marshalled);
+    tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Marshalled);
     tb.deploy_extension_nsms(tb.hosts.nsm);
     // Additional contexts over the same two name services (departmental
     // subdivisions of the same universe).

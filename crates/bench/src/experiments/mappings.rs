@@ -5,7 +5,6 @@ use hns_core::cache::CacheMode;
 use hns_core::name::HnsName;
 use hns_core::query::QueryClass;
 use nsms::harness::Testbed;
-use nsms::nsm_cache::NsmCacheForm;
 
 use crate::cells::PlainTable;
 
@@ -21,7 +20,7 @@ pub struct MappingCounts {
 /// Measures cold and warm FindNSM structure.
 pub fn counts() -> (MappingCounts, MappingCounts) {
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Marshalled);
+    tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Marshalled);
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Marshalled);
     let name = HnsName::new(tb.ctx_bind(), "fiji.cs.washington.edu").expect("name");
     let qc = QueryClass::hrpc_binding();

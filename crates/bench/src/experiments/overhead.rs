@@ -11,7 +11,6 @@ use hns_core::query::QueryClass;
 use hrpc::server::ProcServer;
 use hrpc::{ComponentSet, HrpcBinding, ProgramId};
 use nsms::harness::Testbed;
-use nsms::nsm_cache::NsmCacheForm;
 use simnet::topology::NetAddr;
 use wire::Value;
 
@@ -49,7 +48,7 @@ pub fn suite_call_costs() -> Vec<(&'static str, f64)> {
 /// Runs the experiment and returns the comparison table.
 pub fn run() -> PaperTable {
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.client, NsmCacheForm::Marshalled);
+    tb.deploy_binding_nsms(tb.hosts.client, CacheMode::Marshalled);
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Marshalled);
     let name = HnsName::new(tb.ctx_bind(), "fiji.cs.washington.edu").expect("name");
     let qc = QueryClass::hrpc_binding();

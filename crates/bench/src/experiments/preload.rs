@@ -17,7 +17,6 @@ use hns_core::cache::CacheMode;
 use hns_core::name::HnsName;
 use hns_core::query::QueryClass;
 use nsms::harness::Testbed;
-use nsms::nsm_cache::NsmCacheForm;
 
 use crate::cells::{Cell, PaperTable, PlainTable};
 
@@ -39,7 +38,7 @@ fn build_testbed() -> Testbed {
     let tb = Testbed::build();
     // Populate the meta zone with the full NSM complement so its size is
     // in the ~2 KB regime the paper preloaded.
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Marshalled);
+    tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Marshalled);
     tb.deploy_extension_nsms(tb.hosts.nsm);
     tb
 }

@@ -108,7 +108,8 @@ pub struct ScalePoint {
     pub qps: f64,
     /// Resolver cache hits over the query phase.
     pub cache_hits: u64,
-    /// Resolver cache misses over the query phase.
+    /// Resolver cache misses over the query phase, expired probes
+    /// included.
     pub cache_misses: u64,
     /// `hits / (hits + misses)`.
     pub hit_ratio: f64,
@@ -165,7 +166,11 @@ fn query_phase(
         }
     });
     let stats = resolver.cache_stats();
-    (took.as_ms_f64() / 1000.0, stats.hits, stats.misses)
+    (
+        took.as_ms_f64() / 1000.0,
+        stats.hits,
+        stats.misses + stats.expired,
+    )
 }
 
 /// Runs the preload phase against cell 0: cold full AXFR, a few meta

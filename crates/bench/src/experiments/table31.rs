@@ -2,7 +2,6 @@
 //! arrangements (msec), three cache states each.
 
 use hns_core::cache::CacheMode;
-use nsms::nsm_cache::NsmCacheForm;
 
 use crate::cells::{Cell, PaperTable};
 use crate::scenario::{deploy, Arrangement, CacheState};
@@ -27,7 +26,7 @@ pub fn run() -> PaperTable {
         ],
     );
     for (row, arrangement) in Arrangement::all().into_iter().enumerate() {
-        let deployed = deploy(arrangement, NsmCacheForm::Marshalled, CacheMode::Marshalled);
+        let deployed = deploy(arrangement, CacheMode::Marshalled, CacheMode::Marshalled);
         let a = deployed.measure(CacheState::Miss);
         let b = deployed.measure(CacheState::HnsHit);
         let c = deployed.measure(CacheState::BothHit);

@@ -37,7 +37,6 @@ use hns_core::name::HnsName;
 use hns_core::obs::json::{number, string};
 use hns_core::obs::{Timeline, TimelineWindow};
 use nsms::harness::{Testbed, DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM};
-use nsms::nsm_cache::NsmCacheForm;
 use nsms::Importer;
 use simnet::faults::FaultPlan;
 use simnet::rng::DetRng;
@@ -156,8 +155,8 @@ fn probe_round(
 /// Runs the timeline scenario.
 pub fn run(config: &TimelineConfig) -> TimelineRun {
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
-    let replica = tb.deploy_binding_bind_replica(tb.hosts.agent, NsmCacheForm::Demarshalled);
+    tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Demarshalled);
+    let replica = tb.deploy_binding_bind_replica(tb.hosts.agent, CacheMode::Demarshalled);
     let warm = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
     let cold = tb.make_hns(tb.hosts.client, CacheMode::Disabled);
     let importer = Importer::new(

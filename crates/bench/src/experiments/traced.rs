@@ -22,7 +22,6 @@ use hns_core::colocation::HnsHandle;
 use hns_core::name::HnsName;
 use hns_core::obs::MetricsSnapshot;
 use nsms::harness::{Testbed, DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM};
-use nsms::nsm_cache::NsmCacheForm;
 use nsms::Importer;
 use simnet::trace::TraceKind;
 
@@ -116,7 +115,7 @@ fn run_query(
 /// Runs the traced scenario.
 pub fn run() -> TracedRun {
     let tb = Testbed::build();
-    let nsms = tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Marshalled);
+    let nsms = tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Marshalled);
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Marshalled);
     let importer = Importer::new(
         Arc::clone(&tb.net),

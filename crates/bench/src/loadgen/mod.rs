@@ -75,7 +75,6 @@ use nsms::harness::{
     PRINT_SERVICE_PROGRAM,
 };
 use nsms::import::Importer;
-use nsms::nsm_cache::NsmCacheForm;
 use parking_lot::Mutex;
 use regd::harness::{owner_key, owner_name};
 use regd::Registry;
@@ -321,7 +320,7 @@ struct WorkerOut {
 
 fn build_worker_stack(config: &LoadConfig) -> WorkerStack {
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
+    tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Demarshalled);
     tb.deploy_extension_nsms(tb.hosts.nsm);
 
     let registrar = tb.make_hns(tb.hosts.meta, CacheMode::Disabled);

@@ -21,7 +21,6 @@ use hns_core::name::HnsName;
 use hns_core::service::Hns;
 use hrpc::{ComponentSet, HrpcBinding};
 use nsms::harness::{Testbed, DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM};
-use nsms::nsm_cache::NsmCacheForm;
 use nsms::{DeployedBindingNsms, Importer};
 use simnet::topology::NetAddr;
 use wire::Value;
@@ -95,11 +94,7 @@ enum Runner {
 
 /// Builds the testbed and deploys one arrangement with the given NSM/HNS
 /// cache form.
-pub fn deploy(
-    arrangement: Arrangement,
-    form: NsmCacheForm,
-    mode: CacheMode,
-) -> DeployedArrangement {
+pub fn deploy(arrangement: Arrangement, form: CacheMode, mode: CacheMode) -> DeployedArrangement {
     let tb = Testbed::build();
     let client = tb.hosts.client;
     let (hns_host, nsm_host) = match arrangement {
@@ -405,7 +400,7 @@ mod tests {
     #[test]
     fn every_arrangement_imports_successfully() {
         for arrangement in Arrangement::all() {
-            let deployed = deploy(arrangement, NsmCacheForm::Marshalled, CacheMode::Marshalled);
+            let deployed = deploy(arrangement, CacheMode::Marshalled, CacheMode::Marshalled);
             deployed.run_import().unwrap_or_else(|e| {
                 panic!("{}: {e}", arrangement.label());
             });
@@ -417,7 +412,7 @@ mod tests {
         let ms: Vec<f64> = Arrangement::all()
             .into_iter()
             .map(|a| {
-                deploy(a, NsmCacheForm::Marshalled, CacheMode::Marshalled).measure(CacheState::Miss)
+                deploy(a, CacheMode::Marshalled, CacheMode::Marshalled).measure(CacheState::Miss)
             })
             .collect();
         // Row 1 (no hops) is cheapest; row 5 (two hops) is dearest.
@@ -429,7 +424,7 @@ mod tests {
     fn cache_states_order_within_a_row() {
         let deployed = deploy(
             Arrangement::AllLinked,
-            NsmCacheForm::Marshalled,
+            CacheMode::Marshalled,
             CacheMode::Marshalled,
         );
         let a = deployed.measure(CacheState::Miss);

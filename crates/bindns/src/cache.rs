@@ -5,100 +5,27 @@
 //! would not make sense to use a more sophisticated scheme because the
 //! source of our cached data (BIND) also uses this mechanism."
 //!
-//! The cache is lock-striped: entries hash (by owner name) to one of
-//! [`SHARD_COUNT`] independently-locked shards, statistics are plain
-//! atomics, and a hit hands back an `Arc`-shared record set. The seed
-//! design took two global locks per lookup (entries, then stats) and
-//! cloned both the key and the record vector on every hit, which
-//! serialized concurrent resolvers; the sharded layout keeps lookups
-//! from different threads on different locks and makes hits
-//! allocation-free. Keys are interned [`NameId`]s — four bytes per
-//! entry instead of an owned label vector, hashed and compared as a
-//! single `u32` — so a million cached names do not hold a million
-//! copies of their owner names.
+//! The cache is the shared [`TtlMap`] keyed by interned owner name and
+//! record type: hits hand back an `Arc`-shared record set, so they are
+//! allocation-free, and an expired set stays resident for the resolver's
+//! serve-stale fallback.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use intern::NameId;
-
-use parking_lot::Mutex;
 use simnet::obs::MetricsRegistry;
 use simnet::time::{SimDuration, SimTime};
+use simnet::ttl_map::{Counter, TtlMap};
 
 use crate::name::DomainName;
 use crate::rr::{RType, ResourceRecord};
 
-/// Shard count; power of two.
-const SHARD_COUNT: usize = 16;
-
-/// Hit/miss statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups that found a live entry.
-    pub hits: u64,
-    /// Lookups that found nothing (or only an expired entry).
-    pub misses: u64,
-    /// Entries observed past their TTL (counted once per expiry).
-    pub expirations: u64,
-    /// Expired entries served anyway because the authoritative server
-    /// was unreachable (the resolver's serve-stale fallback).
-    pub stale_serves: u64,
-}
-
-impl CacheStats {
-    /// Hit fraction over all lookups (0 if none).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Atomic counterpart of [`CacheStats`]: one relaxed add per lookup
-/// outcome instead of a second mutex acquisition.
-#[derive(Debug, Default)]
-struct AtomicStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    expirations: AtomicU64,
-    stale_serves: AtomicU64,
-}
-
-#[derive(Debug, Clone)]
-struct Entry {
-    records: Arc<[ResourceRecord]>,
-    expires_at: SimTime,
-    /// Whether an expired probe already counted this entry's expiration.
-    /// Expired entries are retained (for the serve-stale fallback) rather
-    /// than evicted, but the expiration is still counted exactly once —
-    /// the same accounting eviction used to produce.
-    expired_counted: bool,
-}
-
-/// One shard: interned owner name → the record sets cached under it,
-/// one per type. The per-name type list is short (a handful of record
-/// types), so a linear scan beats a second hash.
-type Shard = HashMap<NameId, Vec<(RType, Entry)>>;
+pub use simnet::ttl_map::CacheStats;
 
 /// A TTL-invalidated record cache, lock-striped for concurrent readers.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TtlCache {
-    shards: Vec<Mutex<Shard>>,
-    stats: AtomicStats,
-}
-
-impl Default for TtlCache {
-    fn default() -> Self {
-        TtlCache {
-            shards: (0..SHARD_COUNT).map(|_| Mutex::new(Shard::new())).collect(),
-            stats: AtomicStats::default(),
-        }
-    }
+    map: TtlMap<(NameId, RType), Arc<[ResourceRecord]>>,
 }
 
 impl TtlCache {
@@ -107,76 +34,40 @@ impl TtlCache {
         Self::default()
     }
 
-    fn shard_of(&self, id: NameId) -> &Mutex<Shard> {
-        // Interned ids are dense, so the low bits spread evenly.
-        &self.shards[id.0 as usize & (SHARD_COUNT - 1)]
-    }
-
-    /// Looks up live records for (`name`, `rtype`) at virtual time `now`.
+    /// Looks up live records for (`name`, `rtype`) at virtual time `now`,
+    /// counting one of hits / expired / misses.
     ///
     /// Hits share the stored record set (`Arc` clone, no per-record
-    /// clone); an entry observed past its TTL is counted as both a miss
-    /// and an expiration (once per expiry) but *retained*, so
-    /// [`TtlCache::get_stale`] can serve it if the authoritative server
-    /// turns out to be unreachable.
+    /// clone); an expired entry is retained, so [`TtlCache::get_stale`]
+    /// can serve it if the authoritative server turns out to be
+    /// unreachable.
     pub fn get(
         &self,
         now: SimTime,
         name: &DomainName,
         rtype: RType,
     ) -> Option<Arc<[ResourceRecord]>> {
-        let id = name.interned();
-        let mut shard = self.shard_of(id).lock();
-        let Some(sets) = shard.get_mut(&id) else {
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        };
-        let Some(i) = sets.iter().position(|(t, _)| *t == rtype) else {
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        };
-        let entry = &mut sets[i].1;
-        if entry.expires_at > now {
-            self.stats.hits.fetch_add(1, Ordering::Relaxed);
-            Some(Arc::clone(&entry.records))
-        } else {
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
-            if !entry.expired_counted {
-                entry.expired_counted = true;
-                self.stats.expirations.fetch_add(1, Ordering::Relaxed);
-            }
-            None
-        }
+        self.map.get(now, &(name.interned(), rtype))
     }
 
     /// Returns a retained *expired* record set for (`name`, `rtype`),
     /// with how long it has been stale, or `None` if nothing (or only a
-    /// live entry) is cached. Does not touch the hit/miss statistics:
-    /// callers use this only after a fresh fetch failed, and count the
-    /// serve via [`TtlCache::note_stale_serve`].
+    /// live entry) is cached. Does not touch the statistics: callers use
+    /// this only after a fresh fetch failed, and count the serve via
+    /// [`TtlCache::note_stale_serve`].
     pub fn get_stale(
         &self,
         now: SimTime,
         name: &DomainName,
         rtype: RType,
     ) -> Option<(Arc<[ResourceRecord]>, SimDuration)> {
-        let id = name.interned();
-        let shard = self.shard_of(id).lock();
-        let entry = shard
-            .get(&id)?
-            .iter()
-            .find(|(t, _)| *t == rtype)
-            .map(|(_, e)| e)?;
-        if entry.expires_at > now {
-            return None;
-        }
-        Some((Arc::clone(&entry.records), now.since(entry.expires_at)))
+        self.map.get_stale(now, &(name.interned(), rtype))
     }
 
     /// Counts one serve-stale fallback (an expired entry handed to a
     /// caller because the authority was unreachable).
     pub fn note_stale_serve(&self) {
-        self.stats.stale_serves.fetch_add(1, Ordering::Relaxed);
+        self.map.count(Counter::StaleServes);
     }
 
     /// Inserts records, valid for the minimum TTL among them.
@@ -194,81 +85,25 @@ impl TtlCache {
         let Some(min_ttl) = records.iter().map(|r| r.ttl).min() else {
             return;
         };
-        let expires_at = now + SimDuration::from_ms(u64::from(min_ttl) * 1000);
-        let entry = Entry {
-            records,
-            expires_at,
-            expired_counted: false,
-        };
-        let id = name.interned();
-        let mut shard = self.shard_of(id).lock();
-        let sets = shard.entry(id).or_default();
-        match sets.iter_mut().find(|(t, _)| *t == rtype) {
-            Some((_, existing)) => *existing = entry,
-            None => sets.push((rtype, entry)),
-        }
+        self.map
+            .insert(now, (name.interned(), rtype), records, min_ttl);
+        self.map.count(Counter::Inserts);
     }
 
     /// Removes everything.
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().clear();
-        }
-    }
-
-    /// Number of entries not yet observed as expired. Entries whose
-    /// expiry has been observed stay resident (serve-stale fodder) but
-    /// are not counted here, so the figure matches what eviction used to
-    /// report.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .values()
-                    .flatten()
-                    .filter(|(_, e)| !e.expired_counted)
-                    .count()
-            })
-            .sum()
-    }
-
-    /// True if the cache holds no entries (counting retained stale ones).
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.lock().is_empty())
+        self.map.clear();
     }
 
     /// Statistics snapshot.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.stats.hits.load(Ordering::Relaxed),
-            misses: self.stats.misses.load(Ordering::Relaxed),
-            expirations: self.stats.expirations.load(Ordering::Relaxed),
-            stale_serves: self.stats.stale_serves.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Resets statistics (e.g. between experiment trials).
-    pub fn reset_stats(&self) {
-        self.stats.hits.store(0, Ordering::Relaxed);
-        self.stats.misses.store(0, Ordering::Relaxed);
-        self.stats.expirations.store(0, Ordering::Relaxed);
-        self.stats.stale_serves.store(0, Ordering::Relaxed);
+        self.map.stats()
     }
 
     /// Publishes the cache's statistics into `metrics` under `component`
-    /// (snapshot-time export, like the HNS cache). `stale_serves` is
-    /// published only when nonzero, so fault-free snapshots are
-    /// unchanged.
+    /// (see [`TtlMap::export_metrics`]).
     pub fn export_metrics(&self, metrics: &MetricsRegistry, component: &str) {
-        let stats = self.stats();
-        metrics.set_counter(component, "hits", stats.hits);
-        metrics.set_counter(component, "misses", stats.misses);
-        metrics.set_counter(component, "expirations", stats.expirations);
-        metrics.set_counter(component, "entries", self.len() as u64);
-        if stats.stale_serves > 0 {
-            metrics.set_counter(component, "stale_serves", stats.stale_serves);
-        }
+        self.map.export_metrics(metrics, component);
     }
 }
 
@@ -293,7 +128,7 @@ mod tests {
         let got = c.get(t0, &name("fiji.cs.washington.edu"), RType::A);
         assert_eq!(got.expect("hit").len(), 1);
         assert_eq!(c.stats().hits, 1);
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.map.len(), 1);
     }
 
     #[test]
@@ -318,13 +153,18 @@ mod tests {
         assert!(c.get(just_before, &name("a.b"), RType::A).is_some());
         let after = SimTime::from_ms(1_001);
         assert!(c.get(after, &name("a.b"), RType::A).is_none());
-        assert_eq!(c.stats().expirations, 1);
-        assert_eq!(c.len(), 0, "expired entry must not count as live");
-        assert!(!c.is_empty(), "…but is retained for serve-stale");
+        let stats = c.stats();
+        assert_eq!(stats.expired, 1, "an expired probe counts `expired`");
+        assert_eq!(stats.misses, 0, "…and is not also a miss");
+        assert_eq!(
+            c.map.len(),
+            1,
+            "the expired entry is retained for serve-stale"
+        );
     }
 
     #[test]
-    fn expiration_is_counted_once_across_repeated_probes() {
+    fn each_expired_probe_counts_one_expired() {
         let c = TtlCache::new();
         c.insert(SimTime::ZERO, name("a.b"), RType::A, vec![rr(1)]);
         let late = SimTime::from_ms(5_000);
@@ -332,8 +172,8 @@ mod tests {
             assert!(c.get(late, &name("a.b"), RType::A).is_none());
         }
         let stats = c.stats();
-        assert_eq!(stats.misses, 3, "every probe is a miss");
-        assert_eq!(stats.expirations, 1, "the expiry is counted once");
+        assert_eq!(stats.expired, 3, "every probe of the expired entry");
+        assert_eq!(stats.misses, 0, "no probe is also a miss");
     }
 
     #[test]
@@ -350,8 +190,12 @@ mod tests {
         assert_eq!(stale_for, SimDuration::from_ms(3_000));
         // Nothing cached at all: no stale entry either.
         assert!(c.get_stale(late, &name("x.y"), RType::A).is_none());
-        // Stale probes leave the hit/miss statistics alone.
-        assert_eq!(c.stats(), CacheStats::default());
+        // Stale probes leave the lookup statistics alone.
+        let only_the_insert = CacheStats {
+            inserts: 1,
+            ..CacheStats::default()
+        };
+        assert_eq!(c.stats(), only_the_insert);
     }
 
     #[test]
@@ -360,11 +204,10 @@ mod tests {
         c.insert(SimTime::ZERO, name("a.b"), RType::A, vec![rr(1)]);
         let late = SimTime::from_ms(5_000);
         assert!(c.get(late, &name("a.b"), RType::A).is_none());
-        assert_eq!(c.len(), 0);
         c.insert(late, name("a.b"), RType::A, vec![rr(60)]);
-        assert_eq!(c.len(), 1, "refreshed entry is live again");
+        assert_eq!(c.map.len(), 1, "the refresh overwrites the stale entry");
         assert!(c.get(late, &name("a.b"), RType::A).is_some());
-        assert_eq!(c.stats().expirations, 1);
+        assert_eq!(c.stats().expired, 1);
     }
 
     #[test]
@@ -380,7 +223,7 @@ mod tests {
     fn empty_sets_are_not_cached() {
         let c = TtlCache::new();
         c.insert(SimTime::ZERO, name("a.b"), RType::A, vec![]);
-        assert!(c.is_empty());
+        assert!(c.map.is_empty());
     }
 
     #[test]
@@ -393,31 +236,11 @@ mod tests {
     }
 
     #[test]
-    fn hit_rate_and_reset() {
-        let c = TtlCache::new();
-        c.insert(SimTime::ZERO, name("a.b"), RType::A, vec![rr(60)]);
-        let _ = c.get(SimTime::ZERO, &name("a.b"), RType::A);
-        let _ = c.get(SimTime::ZERO, &name("x.y"), RType::A);
-        assert!((c.stats().hit_rate() - 0.5).abs() < 1e-9);
-        c.reset_stats();
-        assert_eq!(c.stats(), CacheStats::default());
-        assert_eq!(CacheStats::default().hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn clear_empties_cache() {
-        let c = TtlCache::new();
-        c.insert(SimTime::ZERO, name("a.b"), RType::A, vec![rr(60)]);
-        c.clear();
-        assert!(c.is_empty());
-    }
-
-    #[test]
     fn reinsert_replaces_entry_not_duplicates() {
         let c = TtlCache::new();
         c.insert(SimTime::ZERO, name("a.b"), RType::A, vec![rr(60)]);
         c.insert(SimTime::ZERO, name("a.b"), RType::A, vec![rr(30), rr(30)]);
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.map.len(), 1);
         let got = c.get(SimTime::ZERO, &name("a.b"), RType::A).expect("hit");
         assert_eq!(got.len(), 2);
     }
@@ -433,9 +256,9 @@ mod tests {
         c.export_metrics(&m, "bindns_cache");
         let snap = m.snapshot();
         assert_eq!(snap.counter("bindns_cache", "hits"), Some(1));
-        assert_eq!(snap.counter("bindns_cache", "misses"), Some(2));
-        assert_eq!(snap.counter("bindns_cache", "expirations"), Some(1));
-        assert_eq!(snap.counter("bindns_cache", "entries"), Some(0));
+        assert_eq!(snap.counter("bindns_cache", "misses"), Some(1));
+        assert_eq!(snap.counter("bindns_cache", "expired"), Some(1));
+        assert_eq!(snap.counter("bindns_cache", "entries"), Some(1));
         assert_eq!(
             snap.counter("bindns_cache", "stale_serves"),
             None,
@@ -449,7 +272,7 @@ mod tests {
     }
 
     /// Satellite: 8 threads × >10k ops each over the sharded cache; the
-    /// atomic hit/miss/expiration totals must come out exact (the
+    /// atomic hit/miss/expired totals must come out exact (the
     /// scripted per-thread workload has known counts, so any lost update
     /// or double count shows up as a wrong total).
     #[test]
@@ -510,9 +333,10 @@ mod tests {
         }
         let stats = c.stats();
         assert_eq!(stats.hits, THREADS * HIT_GETS);
-        assert_eq!(stats.misses, THREADS * (MISS_GETS + EXPIRING));
-        assert_eq!(stats.expirations, THREADS * EXPIRING);
-        // Expired entries were evicted; only the warm keys remain.
-        assert_eq!(c.len(), (THREADS * WARM_KEYS) as usize);
+        assert_eq!(stats.misses, THREADS * MISS_GETS);
+        assert_eq!(stats.expired, THREADS * EXPIRING);
+        assert_eq!(stats.inserts, THREADS * (WARM_KEYS + EXPIRING));
+        // Expired entries stay resident for serve-stale.
+        assert_eq!(c.map.len(), (THREADS * (WARM_KEYS + EXPIRING)) as usize);
     }
 }

@@ -23,82 +23,35 @@
 //! The load engine enables it per instance via
 //! [`Hns::set_binding_cache`](crate::service::Hns::set_binding_cache).
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use hrpc::HrpcBinding;
 use intern::NameId;
-use parking_lot::Mutex;
-use simnet::time::{SimDuration, SimTime};
+use simnet::ttl_map::{Counter, TtlMap};
 use simnet::world::World;
 
-/// Number of lock-striped shards (matches the per-mapping cache).
-const SHARDS: usize = 16;
-
-/// One composed entry: the bound result and when the *earliest*
-/// constituent mapping entry expires.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    binding: HrpcBinding,
-    expires_at: SimTime,
-}
-
 /// Statistics of a [`BindingCache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BindingCacheStats {
-    /// Probes answered by a live composed entry.
-    pub hits: u64,
-    /// Probes that found nothing composed (the walk ran).
-    pub misses: u64,
-    /// Probes that found an entry whose composed TTL had lapsed.
-    pub expired: u64,
-    /// Composed entries inserted after successful walks.
-    pub inserts: u64,
-}
+pub type BindingCacheStats = simnet::ttl_map::CacheStats;
 
 /// A sharded cache of composed `FindNSM` results.
 ///
 /// Keys are interned `(query class, context)` ids — the individual
 /// name plays no part in the mapping walk, so all names in a context
-/// share one entry per query class. Probing with [`NameId`]s keeps the
-/// warm path free of per-query key allocation: the seed keyed shards
-/// by `(String, String)` and cloned both strings on every probe.
+/// share one entry per query class. Each entry expires when the
+/// *earliest* constituent mapping entry does.
+#[derive(Debug, Default)]
 pub struct BindingCache {
     enabled: AtomicBool,
-    shards: Vec<Mutex<HashMap<(NameId, NameId), Entry>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    expired: AtomicU64,
-    inserts: AtomicU64,
-}
-
-impl Default for BindingCache {
-    fn default() -> Self {
-        Self::new()
-    }
+    map: TtlMap<(NameId, NameId), HrpcBinding>,
 }
 
 impl BindingCache {
-    /// Creates a disabled, empty cache.
-    pub fn new() -> Self {
-        BindingCache {
-            enabled: AtomicBool::new(false),
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
-        }
-    }
-
     /// Enables or disables the cache. Disabling clears it, so a
     /// re-enable starts cold.
     pub fn set_enabled(&self, enabled: bool) {
         self.enabled.store(enabled, Ordering::Relaxed);
         if !enabled {
-            for shard in &self.shards {
-                shard.lock().clear();
-            }
+            self.map.clear();
         }
     }
 
@@ -107,35 +60,15 @@ impl BindingCache {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    fn shard(&self, qc: NameId, context: NameId) -> &Mutex<HashMap<(NameId, NameId), Entry>> {
-        // Interned ids are dense; mixing the pair spreads shards evenly.
-        &self.shards[(qc.0 as usize ^ (context.0 as usize).rotate_left(7)) % SHARDS]
-    }
-
-    /// Probes for a live composed binding, charging one cache-probe
-    /// cost. Returns `None` (without charging more) when disabled.
-    pub fn lookup(&self, world: &World, qc: &str, context: &str) -> Option<HrpcBinding> {
+    /// Probes for a live composed binding under interned
+    /// `(query class, context)`, charging one cache-probe cost. Returns
+    /// `None` (without charging) when disabled.
+    pub fn lookup(&self, world: &World, key: (NameId, NameId)) -> Option<HrpcBinding> {
         if !self.enabled() {
             return None;
         }
         world.charge_ms(world.costs.cache_probe);
-        let now = world.now();
-        let (qc, context) = (intern::intern(qc), intern::intern(context));
-        let shard = self.shard(qc, context).lock();
-        match shard.get(&(qc, context)) {
-            Some(entry) if entry.expires_at > now => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry.binding)
-            }
-            Some(_) => {
-                self.expired.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.map.get(world.now(), &key)
     }
 
     /// Inserts a composed result whose earliest constituent expires in
@@ -143,55 +76,26 @@ impl BindingCache {
     pub fn insert(
         &self,
         world: &World,
-        qc: &str,
-        context: &str,
+        key: (NameId, NameId),
         binding: HrpcBinding,
         min_ttl_secs: u32,
     ) {
         if !self.enabled() || min_ttl_secs == 0 {
             return;
         }
-        let expires_at = world.now() + SimDuration::from_ms(u64::from(min_ttl_secs) * 1000);
-        let (qc, context) = (intern::intern(qc), intern::intern(context));
-        self.shard(qc, context).lock().insert(
-            (qc, context),
-            Entry {
-                binding,
-                expires_at,
-            },
-        );
-        self.inserts.fetch_add(1, Ordering::Relaxed);
+        self.map.insert(world.now(), key, binding, min_ttl_secs);
+        self.map.count(Counter::Inserts);
     }
 
     /// Statistics snapshot.
     pub fn stats(&self) -> BindingCacheStats {
-        BindingCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-        }
+        self.map.stats()
     }
 
     /// Exports the current statistics into a metrics registry under
-    /// `component` (published at snapshot time like the per-mapping
-    /// cache's stats; never registered while the cache is disabled and
-    /// untouched, so default-configuration snapshots are unchanged).
+    /// `component` (see [`TtlMap::export_metrics`]).
     pub fn export_metrics(&self, metrics: &simnet::obs::MetricsRegistry, component: &str) {
-        let s = self.stats();
-        metrics.set_counter(component, "hits", s.hits);
-        metrics.set_counter(component, "misses", s.misses);
-        metrics.set_counter(component, "expired", s.expired);
-        metrics.set_counter(component, "inserts", s.inserts);
-    }
-}
-
-impl std::fmt::Debug for BindingCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BindingCache")
-            .field("enabled", &self.enabled())
-            .field("stats", &self.stats())
-            .finish()
+        self.map.export_metrics(metrics, component);
     }
 }
 
@@ -211,12 +115,16 @@ mod tests {
         }
     }
 
+    fn key(qc: &str, context: &str) -> (NameId, NameId) {
+        (intern::intern(qc), intern::intern(context))
+    }
+
     #[test]
     fn disabled_cache_is_inert() {
         let w = World::paper();
-        let c = BindingCache::new();
-        c.insert(&w, "hrpc_binding", "dept0", binding(1), 600);
-        assert_eq!(c.lookup(&w, "hrpc_binding", "dept0"), None);
+        let c = BindingCache::default();
+        c.insert(&w, key("hrpc_binding", "dept0"), binding(1), 600);
+        assert_eq!(c.lookup(&w, key("hrpc_binding", "dept0")), None);
         assert_eq!(c.stats(), BindingCacheStats::default());
         // Probes of a disabled cache charge nothing.
         assert_eq!(w.now().as_us(), 0);
@@ -225,13 +133,13 @@ mod tests {
     #[test]
     fn hit_until_composed_ttl_lapses_then_expired() {
         let w = World::paper();
-        let c = BindingCache::new();
+        let c = BindingCache::default();
         c.set_enabled(true);
-        assert_eq!(c.lookup(&w, "qc", "ctx"), None, "cold miss");
-        c.insert(&w, "qc", "ctx", binding(2), 2);
-        assert_eq!(c.lookup(&w, "qc", "ctx"), Some(binding(2)));
+        assert_eq!(c.lookup(&w, key("qc", "ctx")), None, "cold miss");
+        c.insert(&w, key("qc", "ctx"), binding(2), 2);
+        assert_eq!(c.lookup(&w, key("qc", "ctx")), Some(binding(2)));
         w.charge_ms(2_000.0);
-        assert_eq!(c.lookup(&w, "qc", "ctx"), None, "composed TTL lapsed");
+        assert_eq!(c.lookup(&w, key("qc", "ctx")), None, "composed TTL lapsed");
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.expired, s.inserts), (1, 1, 1, 1));
     }
@@ -239,33 +147,25 @@ mod tests {
     #[test]
     fn zero_ttl_walks_are_not_cached() {
         let w = World::paper();
-        let c = BindingCache::new();
+        let c = BindingCache::default();
         c.set_enabled(true);
-        c.insert(&w, "qc", "ctx", binding(3), 0);
-        assert_eq!(c.lookup(&w, "qc", "ctx"), None);
+        c.insert(&w, key("qc", "ctx"), binding(3), 0);
+        assert_eq!(c.lookup(&w, key("qc", "ctx")), None);
         assert_eq!(c.stats().inserts, 0);
     }
 
     #[test]
     fn disabling_clears_entries() {
         let w = World::paper();
-        let c = BindingCache::new();
+        let c = BindingCache::default();
         c.set_enabled(true);
-        c.insert(&w, "qc", "ctx", binding(4), 600);
+        c.insert(&w, key("qc", "ctx"), binding(4), 600);
         c.set_enabled(false);
         c.set_enabled(true);
-        assert_eq!(c.lookup(&w, "qc", "ctx"), None, "re-enable starts cold");
-    }
-
-    #[test]
-    fn entries_are_per_query_class_and_context() {
-        let w = World::paper();
-        let c = BindingCache::new();
-        c.set_enabled(true);
-        c.insert(&w, "a", "ctx", binding(5), 600);
-        c.insert(&w, "b", "ctx", binding(6), 600);
-        assert_eq!(c.lookup(&w, "a", "ctx"), Some(binding(5)));
-        assert_eq!(c.lookup(&w, "b", "ctx"), Some(binding(6)));
-        assert_eq!(c.lookup(&w, "a", "other"), None);
+        assert_eq!(
+            c.lookup(&w, key("qc", "ctx")),
+            None,
+            "re-enable starts cold"
+        );
     }
 }

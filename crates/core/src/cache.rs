@@ -14,47 +14,47 @@
 //!   plus a reference-count bump ("by simply changing the cache to keep
 //!   demarshalled information, the times decreased dramatically").
 //!
-//! Entries are TTL-tagged, inheriting BIND's invalidation regime.
+//! Entries are TTL-tagged, inheriting BIND's invalidation regime. Storage,
+//! sharding, expiry and statistics are the shared [`TtlMap`]; this module
+//! adds the paper's policy on top:
 //!
-//! Beyond the paper's design, this cache is built for a multi-threaded
-//! HNS:
-//!
-//! * **Lock striping** — entries live in [`SHARDS`] independently-locked
-//!   shards, so concurrent lookups on different keys never contend.
-//! * **Arc-shared hits** — demarshalled entries are stored as
-//!   `Arc<Value>` and hits hand back a clone of the `Arc`, not of the
-//!   value.
-//! * **Miss coalescing** — [`HnsCache::begin_fetch`] is a singleflight
+//! * the storage form and its Table 3.2 virtual-time charges;
+//! * **negative caching** — a `NotFound` can be remembered via
+//!   [`HnsCache::insert_negative`] for a (short, separate) TTL, so
+//!   repeated lookups of absent names do not hammer the meta server;
+//! * **miss coalescing** — [`HnsCache::begin_fetch`] is a singleflight
 //!   gate: of K threads missing on the same key, one becomes the
 //!   [`FetchTicket::Leader`] and performs the remote fetch while the
-//!   others block until it finishes, then re-probe the cache.
-//! * **Negative caching** — a `NotFound` can be remembered via
-//!   [`HnsCache::insert_negative`] for a (short, separate) TTL, so
-//!   repeated lookups of absent names do not hammer the meta server.
+//!   others block until it finishes, then re-probe the cache;
+//! * **serve-stale** — [`HnsCache::lookup_stale`] hands out an expired
+//!   entry when the authority is unreachable.
+//!
+//! The NSMs cache their completed results with the same layer, under
+//! their own key type ("both the HNS and the NSMs were modified to cache
+//! the results of remote lookups").
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::fmt::Debug;
+use std::hash::Hash;
+use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 
 use intern::NameId;
 use parking_lot::Mutex;
-use simnet::time::{SimDuration, SimTime};
+use simnet::trace::CacheOutcome;
+use simnet::ttl_map::{Counter, Probe, TtlMap};
 use simnet::world::World;
 use simnet::CacheForm;
 use wire::Value;
-
-/// Number of lock-striped shards.
-pub const SHARDS: usize = 16;
 
 /// Default TTL for negative entries, seconds. Deliberately much shorter
 /// than the positive [`crate::meta::META_TTL`]: absence is the cheapest
 /// fact to recompute and the most dangerous to over-remember.
 pub const NEGATIVE_TTL: u32 = 30;
 
-/// Whether and how the HNS caches meta information.
+/// Whether and how a cache keeps what it caches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum CacheMode {
     /// No caching (the paper's column-A/no-cache interpretation).
     Disabled,
@@ -65,14 +65,6 @@ pub enum CacheMode {
 }
 
 impl CacheMode {
-    fn to_u8(self) -> u8 {
-        match self {
-            CacheMode::Disabled => 0,
-            CacheMode::Marshalled => 1,
-            CacheMode::Demarshalled => 2,
-        }
-    }
-
     fn from_u8(v: u8) -> CacheMode {
         match v {
             1 => CacheMode::Marshalled,
@@ -127,101 +119,54 @@ impl std::fmt::Debug for MetaKey {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Stored {
-    Bytes(Vec<u8>),
+    Bytes(Arc<[u8]>),
     Decoded(Arc<Value>),
     /// The name was authoritatively absent when cached.
     Negative,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Entry {
     stored: Stored,
     rrs: usize,
-    expires_at: SimTime,
+}
+
+impl Entry {
+    /// The entry's value, charging the Table 3.2 access cost of its form.
+    /// `None` for a negative entry or undecodable bytes.
+    fn read(&self, world: &World) -> Option<Arc<Value>> {
+        match &self.stored {
+            Stored::Bytes(bytes) => {
+                // The real demarshal, plus its calibrated cost.
+                world.charge_ms(world.costs.cache_hit(CacheForm::Marshalled, self.rrs));
+                wire::xdr::decode(bytes).ok().map(Arc::new)
+            }
+            Stored::Decoded(value) => {
+                world.charge_ms(world.costs.cache_hit(CacheForm::Demarshalled, self.rrs));
+                Some(Arc::clone(value))
+            }
+            Stored::Negative => None,
+        }
+    }
 }
 
 /// Cache statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HnsCacheStats {
-    /// Live-entry hits.
-    pub hits: u64,
-    /// Probes that found nothing cached (absent or decode failure —
-    /// TTL expirations are counted in [`HnsCacheStats::expired`]).
-    pub misses: u64,
-    /// Probes that found an entry whose TTL had lapsed.
-    pub expired: u64,
-    /// Probes answered by a live negative entry.
-    pub negative_hits: u64,
-    /// Fetches avoided by coalescing onto another thread's in-flight
-    /// fetch for the same key.
-    pub coalesced: u64,
-    /// Entries inserted (negatives not counted).
-    pub inserts: u64,
-    /// Entries inserted by preload.
-    pub preloaded: u64,
-    /// Expired entries served anyway because the authoritative server
-    /// was unreachable (serve-stale).
-    pub stale_serves: u64,
-}
-
-#[derive(Default)]
-struct AtomicStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    expired: AtomicU64,
-    negative_hits: AtomicU64,
-    coalesced: AtomicU64,
-    inserts: AtomicU64,
-    preloaded: AtomicU64,
-    stale_serves: AtomicU64,
-}
-
-impl AtomicStats {
-    fn snapshot(&self) -> HnsCacheStats {
-        HnsCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
-            negative_hits: self.negative_hits.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            preloaded: self.preloaded.load(Ordering::Relaxed),
-            stale_serves: self.stale_serves.load(Ordering::Relaxed),
-        }
-    }
-
-    fn reset(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.expired.store(0, Ordering::Relaxed);
-        self.negative_hits.store(0, Ordering::Relaxed);
-        self.coalesced.store(0, Ordering::Relaxed);
-        self.inserts.store(0, Ordering::Relaxed);
-        self.preloaded.store(0, Ordering::Relaxed);
-        self.stale_serves.store(0, Ordering::Relaxed);
-    }
-}
+pub type HnsCacheStats = simnet::ttl_map::CacheStats;
 
 /// One in-flight fetch that other threads can wait on.
 ///
 /// Built on `std::sync` primitives (not `parking_lot`) because waiters
 /// must tolerate a leader that panicked mid-fetch: the guard's `Drop`
 /// still completes the flight, and lock poisoning is explicitly absorbed.
+#[derive(Debug)]
 struct Flight {
     done: StdMutex<bool>,
     cv: Condvar,
 }
 
 impl Flight {
-    fn new() -> Self {
-        Flight {
-            done: StdMutex::new(false),
-            cv: Condvar::new(),
-        }
-    }
-
     fn wait(&self) {
         let mut done = self.done.lock().unwrap_or_else(|e| e.into_inner());
         while !*done {
@@ -234,20 +179,6 @@ impl Flight {
         *done = true;
         drop(done);
         self.cv.notify_all();
-    }
-}
-
-struct Shard {
-    entries: Mutex<HashMap<MetaKey, Entry>>,
-    in_flight: Mutex<HashMap<MetaKey, Arc<Flight>>>,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            entries: Mutex::new(HashMap::new()),
-            in_flight: Mutex::new(HashMap::new()),
-        }
     }
 }
 
@@ -269,22 +200,9 @@ pub enum CacheLookup {
     Miss,
 }
 
-/// Internal probe result; plain misses are counted by the caller.
-enum Probe {
-    Hit {
-        value: Arc<Value>,
-        remaining_ttl_secs: u32,
-    },
-    Negative,
-    Miss {
-        /// An entry existed but its TTL had lapsed (already counted).
-        expired: bool,
-    },
-}
-
 /// Outcome of [`HnsCache::lookup_or_fetch`]: either the cache (or a
 /// coalesced leader's fetch) answered, or this caller owns the fetch.
-pub enum LookupOrFetch<'a> {
+pub enum LookupOrFetch<'a, K: Hash + Eq = MetaKey> {
     /// A live entry: the (shared) value and its remaining TTL, seconds.
     Hit {
         /// The cached value; demarshalled hits share the stored allocation.
@@ -295,7 +213,7 @@ pub enum LookupOrFetch<'a> {
     /// A live negative entry: the name is authoritatively absent.
     NegativeHit,
     /// This caller must fetch; keep the guard alive until the insert.
-    Lead(FlightGuard<'a>),
+    Lead(FlightGuard<'a, K>),
 }
 
 /// An expired positive entry returned by [`HnsCache::lookup_stale`].
@@ -310,11 +228,11 @@ pub struct StaleEntry {
 }
 
 /// Outcome of [`HnsCache::begin_fetch`] after a miss.
-pub enum FetchTicket<'a> {
+pub enum FetchTicket<'a, K: Hash + Eq = MetaKey> {
     /// This caller owns the fetch; the guard must stay alive until the
     /// fetched value has been inserted (or the fetch abandoned) — dropping
     /// it releases every coalesced waiter.
-    Leader(FlightGuard<'a>),
+    Leader(FlightGuard<'a, K>),
     /// Another thread was already fetching this key; its fetch has now
     /// completed (successfully or not). Re-probe the cache.
     Coalesced,
@@ -323,39 +241,38 @@ pub enum FetchTicket<'a> {
 /// RAII token held by the leader of an in-flight fetch. On drop — normal
 /// return, error, or panic — the flight is deregistered and all coalesced
 /// waiters are released.
-pub struct FlightGuard<'a> {
-    cache: &'a HnsCache,
-    key: MetaKey,
+pub struct FlightGuard<'a, K: Hash + Eq = MetaKey> {
+    in_flight: &'a Mutex<HashMap<K, Arc<Flight>>>,
+    key: K,
     flight: Arc<Flight>,
 }
 
-impl Drop for FlightGuard<'_> {
+impl<K: Hash + Eq> Drop for FlightGuard<'_, K> {
     fn drop(&mut self) {
-        self.cache
-            .shard(&self.key)
-            .in_flight
-            .lock()
-            .remove(&self.key);
+        self.in_flight.lock().remove(&self.key);
         self.flight.complete();
     }
 }
 
-/// The HNS cache: lock-striped, miss-coalescing, TTL-tagged.
-pub struct HnsCache {
+/// The HNS cache: a [`TtlMap`] of form-stored values with negative
+/// entries, serve-stale and miss coalescing. `K` is [`MetaKey`] for the
+/// HNS; the NSMs key their result caches by their query.
+#[derive(Debug)]
+pub struct HnsCache<K = MetaKey> {
     mode: AtomicU8,
     negative_ttl: AtomicU32,
-    shards: Vec<Shard>,
-    stats: AtomicStats,
+    map: TtlMap<K, Entry>,
+    in_flight: Mutex<HashMap<K, Arc<Flight>>>,
 }
 
-impl HnsCache {
+impl<K: Copy + Hash + Eq + Debug> HnsCache<K> {
     /// Creates a cache in the given mode.
     pub fn new(mode: CacheMode) -> Self {
         HnsCache {
-            mode: AtomicU8::new(mode.to_u8()),
+            mode: AtomicU8::new(mode as u8),
             negative_ttl: AtomicU32::new(NEGATIVE_TTL),
-            shards: (0..SHARDS).map(|_| Shard::new()).collect(),
-            stats: AtomicStats::default(),
+            map: TtlMap::default(),
+            in_flight: Mutex::new(HashMap::new()),
         }
     }
 
@@ -366,13 +283,8 @@ impl HnsCache {
 
     /// Switches mode, clearing the cache (entries are stored per-form).
     pub fn set_mode(&self, mode: CacheMode) {
-        self.mode.store(mode.to_u8(), Ordering::Relaxed);
+        self.mode.store(mode as u8, Ordering::Relaxed);
         self.clear();
-    }
-
-    /// TTL applied to negative entries, seconds.
-    pub fn negative_ttl(&self) -> u32 {
-        self.negative_ttl.load(Ordering::Relaxed)
     }
 
     /// Sets the TTL applied to subsequently inserted negative entries.
@@ -380,186 +292,123 @@ impl HnsCache {
         self.negative_ttl.store(ttl_secs, Ordering::Relaxed);
     }
 
-    fn shard(&self, key: &MetaKey) -> &Shard {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % SHARDS]
-    }
-
-    fn remaining_secs(expires_at: SimTime, now: SimTime) -> u32 {
-        let us = expires_at.saturating_since(now).as_us();
-        us.div_ceil(1_000_000) as u32
+    /// The shared probe: charges the probe cost and, on a live positive
+    /// entry, the form-dependent access cost of Table 3.2. Moves no
+    /// counter — the caller decides whether this probe is the
+    /// operation's outcome or a re-probe after a coalesced wait.
+    fn probe(&self, world: &World, key: &K) -> (CacheLookup, Counter, CacheOutcome) {
+        world.charge_ms(world.costs.cache_probe);
+        match self.map.probe(world.now(), key) {
+            Probe::Live(entry, _) if matches!(entry.stored, Stored::Negative) => (
+                CacheLookup::NegativeHit,
+                Counter::NegativeHits,
+                CacheOutcome::NegativeHit,
+            ),
+            Probe::Live(entry, left) => match entry.read(world) {
+                Some(value) => (
+                    CacheLookup::Hit {
+                        value,
+                        remaining_ttl_secs: left.as_us().div_ceil(1_000_000) as u32,
+                    },
+                    Counter::Hits,
+                    CacheOutcome::Hit,
+                ),
+                None => (CacheLookup::Miss, Counter::Misses, CacheOutcome::Miss),
+            },
+            // An expired entry is dead for normal reads but deliberately
+            // *retained*: it is the serve-stale fallback when the
+            // authority is unreachable. A successful refetch overwrites
+            // it in place.
+            Probe::Expired(..) => (CacheLookup::Miss, Counter::Expired, CacheOutcome::Expired),
+            Probe::Absent => (CacheLookup::Miss, Counter::Misses, CacheOutcome::Miss),
+        }
     }
 
     /// Probes `key`, charging the probe cost and, on a hit, the
     /// form-dependent access cost of Table 3.2. Demarshalled hits share
     /// the stored `Arc` — no value clone.
     ///
-    /// Counts one of hits / misses / expired / negative_hits per call.
-    /// Callers that follow a miss through the singleflight gate should
-    /// prefer [`HnsCache::lookup_or_fetch`], whose accounting counts
-    /// each logical operation exactly once even when it coalesces.
-    pub fn lookup(&self, world: &World, key: &MetaKey) -> CacheLookup {
+    /// Counts one of hits / misses / expired / negative_hits per call and
+    /// annotates the current trace span with the outcome. Callers that
+    /// follow a miss through the singleflight gate should prefer
+    /// [`HnsCache::lookup_or_fetch`], whose accounting counts each
+    /// logical operation exactly once even when it coalesces.
+    pub fn lookup(&self, world: &World, key: &K) -> CacheLookup {
         if self.mode() == CacheMode::Disabled {
             return CacheLookup::Miss;
         }
-        match self.probe(world, key, true) {
-            Probe::Hit {
-                value,
-                remaining_ttl_secs,
-            } => CacheLookup::Hit {
-                value,
-                remaining_ttl_secs,
-            },
-            Probe::Negative => CacheLookup::NegativeHit,
-            Probe::Miss { expired } => {
-                if !expired {
-                    self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                }
-                CacheLookup::Miss
-            }
-        }
-    }
-
-    /// The shared probe. Counts hits / negative_hits / expired when
-    /// `record_stats` is set; never counts plain misses (the caller
-    /// decides whether the miss is this operation's outcome or a
-    /// re-probe after a coalesced wait).
-    fn probe(&self, world: &World, key: &MetaKey, record_stats: bool) -> Probe {
-        world.charge_ms(world.costs.cache_probe);
-        let now = world.now();
-        let mut entries = self.shard(key).entries.lock();
-        match entries.get(key) {
-            Some(entry) if entry.expires_at > now => {
-                let remaining_ttl_secs = Self::remaining_secs(entry.expires_at, now);
-                let value = match &entry.stored {
-                    Stored::Bytes(bytes) => {
-                        // The real demarshal, plus its calibrated cost.
-                        world.charge_ms(world.costs.cache_hit(CacheForm::Marshalled, entry.rrs));
-                        match wire::xdr::decode(bytes) {
-                            Ok(v) => Arc::new(v),
-                            Err(_) => {
-                                entries.remove(key);
-                                return Probe::Miss { expired: false };
-                            }
-                        }
-                    }
-                    Stored::Decoded(v) => {
-                        world.charge_ms(world.costs.cache_hit(CacheForm::Demarshalled, entry.rrs));
-                        Arc::clone(v)
-                    }
-                    Stored::Negative => {
-                        if record_stats {
-                            self.stats.negative_hits.fetch_add(1, Ordering::Relaxed);
-                        }
-                        return Probe::Negative;
-                    }
-                };
-                if record_stats {
-                    self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                    // Gate on the tracer so the hot hit path never pays
-                    // for the Debug formatting when tracing is off.
-                    if world.tracer.is_enabled() {
-                        world.trace(
-                            None,
-                            simnet::trace::TraceKind::Cache,
-                            format!("hit {key:?}"),
-                        );
-                    }
-                }
-                Probe::Hit {
-                    value,
-                    remaining_ttl_secs,
-                }
-            }
-            Some(_) => {
-                // The entry is dead for normal reads but deliberately
-                // *retained*: it is the serve-stale fallback when the
-                // authoritative meta server is unreachable (paper §4 —
-                // meta-naming data changes slowly, so stale data beats
-                // no data). A successful refetch overwrites it in place.
-                if record_stats {
-                    self.stats.expired.fetch_add(1, Ordering::Relaxed);
-                }
-                Probe::Miss { expired: true }
-            }
-            None => Probe::Miss { expired: false },
-        }
+        let (lookup, counter, outcome) = self.probe(world, key);
+        self.map.count(counter);
+        world.cache_outcome(outcome);
+        lookup
     }
 
     /// Probes `key` and, on a miss, enters the singleflight gate —
     /// looping through coalesced waits until the operation resolves as
     /// a hit, a negative hit, or leadership of the fetch.
     ///
-    /// Accounting contract (the `HnsCacheStats` double-count fix): each
-    /// logical operation moves **exactly one** of `hits`, `misses`,
-    /// `expired`, `negative_hits`, or `coalesced`. In particular a
-    /// coalesced waiter counts only `coalesced` — its initial probe is
-    /// not a `miss` (it never fetched) and its post-wait re-probe is
-    /// not a `hit` (the leader's fetch, not the cache, answered it).
+    /// Accounting contract: each logical operation moves **exactly one**
+    /// of `hits`, `misses`, `expired`, `negative_hits`, or `coalesced`.
+    /// In particular a coalesced waiter counts only `coalesced` — its
+    /// initial probe is not a `miss` or `expired` (it never fetched) and
+    /// its post-wait re-probe is not a `hit` (the leader's fetch, not the
+    /// cache, answered it).
     ///
     /// Also annotates the calling thread's current trace span with the
-    /// operation's [`simnet::trace::CacheOutcome`].
-    pub fn lookup_or_fetch(&self, world: &World, key: &MetaKey) -> LookupOrFetch<'_> {
-        use simnet::trace::CacheOutcome;
+    /// operation's [`CacheOutcome`].
+    pub fn lookup_or_fetch(&self, world: &World, key: &K) -> LookupOrFetch<'_, K> {
         let mut waited = false;
         loop {
             let disabled = self.mode() == CacheMode::Disabled;
-            let probe = if disabled {
-                Probe::Miss { expired: false }
+            let (lookup, counter, outcome) = if disabled {
+                (CacheLookup::Miss, Counter::Misses, CacheOutcome::Miss)
             } else {
-                self.probe(world, key, !waited)
+                self.probe(world, key)
             };
-            match probe {
-                Probe::Hit {
+            let answer = match lookup {
+                CacheLookup::Hit {
                     value,
                     remaining_ttl_secs,
                 } => {
-                    if !waited {
-                        world.cache_outcome(CacheOutcome::Hit);
+                    // Gate on the tracer so the hot hit path never pays
+                    // for the Debug formatting when tracing is off.
+                    if !waited && world.tracer.is_enabled() {
+                        world.trace(
+                            None,
+                            simnet::trace::TraceKind::Cache,
+                            format!("hit {key:?}"),
+                        );
                     }
-                    return LookupOrFetch::Hit {
+                    LookupOrFetch::Hit {
                         value,
                         remaining_ttl_secs,
-                    };
-                }
-                Probe::Negative => {
-                    if !waited {
-                        world.cache_outcome(CacheOutcome::NegativeHit);
                     }
-                    return LookupOrFetch::NegativeHit;
                 }
-                Probe::Miss { expired } => match self.begin_fetch(key) {
-                    FetchTicket::Leader(guard) => {
-                        // An expiry was already counted by the probe; a
-                        // clean miss is counted here, at the moment this
-                        // operation commits to fetching.
-                        if !disabled && !expired {
-                            self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                        }
-                        if !waited {
-                            world.cache_outcome(if expired {
-                                CacheOutcome::Expired
-                            } else {
-                                CacheOutcome::Miss
-                            });
-                        }
-                        return LookupOrFetch::Lead(guard);
-                    }
+                CacheLookup::NegativeHit => LookupOrFetch::NegativeHit,
+                CacheLookup::Miss => match self.begin_fetch(key) {
+                    FetchTicket::Leader(guard) => LookupOrFetch::Lead(guard),
                     FetchTicket::Coalesced => {
                         if !waited {
                             world.cache_outcome(CacheOutcome::Coalesced);
                         }
                         waited = true;
+                        continue;
                     }
                 },
+            };
+            if !waited {
+                if !disabled {
+                    self.map.count(counter);
+                }
+                world.cache_outcome(outcome);
             }
+            return answer;
         }
     }
 
     /// Looks up `key`, cloning the value out on a hit. Negative hits
     /// report as `None`, like plain misses.
-    pub fn get(&self, world: &World, key: &MetaKey) -> Option<Value> {
+    pub fn get(&self, world: &World, key: &K) -> Option<Value> {
         match self.lookup(world, key) {
             CacheLookup::Hit { value, .. } => Some((*value).clone()),
             CacheLookup::NegativeHit | CacheLookup::Miss => None,
@@ -573,50 +422,30 @@ impl HnsCache {
     /// counts one `stale_serves` on success. Live entries, negatives,
     /// absent keys, and a disabled cache all return `None` — the normal
     /// lookup path is never bypassed for live data.
-    pub fn lookup_stale(&self, world: &World, key: &MetaKey) -> Option<StaleEntry> {
+    pub fn lookup_stale(&self, world: &World, key: &K) -> Option<StaleEntry> {
         if self.mode() == CacheMode::Disabled {
             return None;
         }
         world.charge_ms(world.costs.cache_probe);
-        let now = world.now();
-        let entries = self.shard(key).entries.lock();
-        let entry = entries.get(key)?;
-        if entry.expires_at > now {
-            return None;
-        }
-        let value = match &entry.stored {
-            Stored::Bytes(bytes) => {
-                world.charge_ms(world.costs.cache_hit(CacheForm::Marshalled, entry.rrs));
-                Arc::new(wire::xdr::decode(bytes).ok()?)
-            }
-            Stored::Decoded(v) => {
-                world.charge_ms(world.costs.cache_hit(CacheForm::Demarshalled, entry.rrs));
-                Arc::clone(v)
-            }
-            Stored::Negative => return None,
-        };
-        let stale_for_secs = (now.saturating_since(entry.expires_at).as_us() / 1_000_000) as u32;
-        self.stats.stale_serves.fetch_add(1, Ordering::Relaxed);
+        let (entry, stale_for) = self.map.get_stale(world.now(), key)?;
+        let value = entry.read(world)?;
+        self.map.count(Counter::StaleServes);
         Some(StaleEntry {
             value,
             rrs: entry.rrs,
-            stale_for_secs,
+            stale_for_secs: (stale_for.as_us() / 1_000_000) as u32,
         })
     }
 
     /// True if a live (positive) entry exists. Charges nothing and moves
     /// no statistics — this is a structural peek, used to decide whether
     /// a speculative batch fetch is worthwhile.
-    pub fn contains_live(&self, world: &World, key: &MetaKey) -> bool {
-        if self.mode() == CacheMode::Disabled {
-            return false;
-        }
-        let now = world.now();
-        let entries = self.shard(key).entries.lock();
-        matches!(
-            entries.get(key),
-            Some(entry) if entry.expires_at > now && !matches!(entry.stored, Stored::Negative)
-        )
+    pub fn contains_live(&self, world: &World, key: &K) -> bool {
+        self.mode() != CacheMode::Disabled
+            && matches!(
+                self.map.probe(world.now(), key),
+                Probe::Live(entry, _) if !matches!(entry.stored, Stored::Negative)
+            )
     }
 
     /// Enters the singleflight gate for `key` after a miss.
@@ -626,156 +455,88 @@ impl HnsCache {
     /// [`FetchTicket::Coalesced`] once another thread's in-flight fetch
     /// for the same key has finished — in which case re-probe the cache
     /// and, if it is still a miss, call `begin_fetch` again.
-    pub fn begin_fetch(&self, key: &MetaKey) -> FetchTicket<'_> {
-        let shard = self.shard(key);
-        let existing = {
-            let mut flights = shard.in_flight.lock();
-            match flights.get(key) {
-                Some(flight) => Some(Arc::clone(flight)),
-                None => {
-                    let flight = Arc::new(Flight::new());
-                    flights.insert(*key, Arc::clone(&flight));
-                    drop(flights);
-                    return FetchTicket::Leader(FlightGuard {
-                        cache: self,
-                        key: *key,
-                        flight,
-                    });
-                }
-            }
-        };
-        let flight = existing.expect("checked above");
-        self.stats.coalesced.fetch_add(1, Ordering::Relaxed);
-        flight.wait();
-        FetchTicket::Coalesced
-    }
-
-    /// Inserts a value fetched from the meta store or an NSM.
-    pub fn insert(&self, world: &World, key: MetaKey, value: &Value, rrs: usize, ttl_secs: u32) {
-        self.insert_inner(world, key, value, rrs, ttl_secs, false);
-    }
-
-    fn insert_inner(
-        &self,
-        world: &World,
-        key: MetaKey,
-        value: &Value,
-        rrs: usize,
-        ttl_secs: u32,
-        preload: bool,
-    ) {
-        let mode = self.mode();
-        if mode == CacheMode::Disabled {
-            return;
+    pub fn begin_fetch(&self, key: &K) -> FetchTicket<'_, K> {
+        let mut flights = self.in_flight.lock();
+        if let Some(flight) = flights.get(key).map(Arc::clone) {
+            drop(flights);
+            self.map.count(Counter::Coalesced);
+            flight.wait();
+            return FetchTicket::Coalesced;
         }
-        let stored = match mode {
+        let flight = Arc::new(Flight {
+            done: StdMutex::new(false),
+            cv: Condvar::new(),
+        });
+        flights.insert(*key, Arc::clone(&flight));
+        FetchTicket::Leader(FlightGuard {
+            in_flight: &self.in_flight,
+            key: *key,
+            flight,
+        })
+    }
+
+    /// Inserts a value fetched from the meta store or an NSM. Returns
+    /// whether it was stored (not when disabled or unencodable).
+    pub fn insert(&self, world: &World, key: K, value: &Value, rrs: usize, ttl_secs: u32) -> bool {
+        let stored = match self.mode() {
+            CacheMode::Disabled => return false,
             CacheMode::Marshalled => match wire::xdr::encode(value) {
-                Ok(bytes) => Stored::Bytes(bytes),
-                Err(_) => return,
+                Ok(bytes) => Stored::Bytes(bytes.into()),
+                Err(_) => return false,
             },
             CacheMode::Demarshalled => Stored::Decoded(Arc::new(value.clone())),
-            CacheMode::Disabled => unreachable!("checked above"),
         };
-        let expires_at = world.now() + SimDuration::from_ms(u64::from(ttl_secs) * 1000);
-        self.shard(&key).entries.lock().insert(
-            key,
-            Entry {
-                stored,
-                rrs,
-                expires_at,
-            },
-        );
-        self.stats.inserts.fetch_add(1, Ordering::Relaxed);
-        if preload {
-            self.stats.preloaded.fetch_add(1, Ordering::Relaxed);
-        }
+        self.map
+            .insert(world.now(), key, Entry { stored, rrs }, ttl_secs);
+        self.map.count(Counter::Inserts);
+        true
     }
 
     /// Remembers that `key` was authoritatively absent, for the negative
     /// TTL. Not counted in [`HnsCacheStats::inserts`].
-    pub fn insert_negative(&self, world: &World, key: MetaKey) {
+    pub fn insert_negative(&self, world: &World, key: K) {
         if self.mode() == CacheMode::Disabled {
             return;
         }
-        let ttl = u64::from(self.negative_ttl());
-        let expires_at = world.now() + SimDuration::from_ms(ttl * 1000);
-        self.shard(&key).entries.lock().insert(
-            key,
-            Entry {
-                stored: Stored::Negative,
-                rrs: 0,
-                expires_at,
-            },
-        );
+        let entry = Entry {
+            stored: Stored::Negative,
+            rrs: 0,
+        };
+        let ttl_secs = self.negative_ttl.load(Ordering::Relaxed);
+        self.map.insert(world.now(), key, entry, ttl_secs);
     }
 
     /// Inserts an entry on behalf of the preload path.
-    pub fn preload_insert(
-        &self,
-        world: &World,
-        key: MetaKey,
-        value: &Value,
-        rrs: usize,
-        ttl_secs: u32,
-    ) {
-        self.insert_inner(world, key, value, rrs, ttl_secs, true);
+    pub fn preload_insert(&self, world: &World, key: K, value: &Value, rrs: usize, ttl_secs: u32) {
+        if self.insert(world, key, value, rrs, ttl_secs) {
+            self.map.count(Counter::Preloaded);
+        }
     }
 
     /// Drops everything.
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.entries.lock().clear();
-        }
+        self.map.clear();
     }
 
-    /// Number of entries (negative entries included).
+    /// Number of entries (negative and expired entries included).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.entries.lock().len()).sum()
+        self.map.len()
     }
 
     /// True if empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.map.is_empty()
     }
 
     /// Statistics snapshot.
     pub fn stats(&self) -> HnsCacheStats {
-        self.stats.snapshot()
-    }
-
-    /// Resets statistics.
-    pub fn reset_stats(&self) {
-        self.stats.reset();
+        self.map.stats()
     }
 
     /// Exports the current statistics into a metrics registry under
-    /// `component` (the hot probe path keeps its own atomics; this
-    /// publishes them at snapshot time).
+    /// `component` (see [`TtlMap::export_metrics`]).
     pub fn export_metrics(&self, metrics: &simnet::obs::MetricsRegistry, component: &str) {
-        let s = self.stats();
-        metrics.set_counter(component, "hits", s.hits);
-        metrics.set_counter(component, "misses", s.misses);
-        metrics.set_counter(component, "expired", s.expired);
-        metrics.set_counter(component, "negative_hits", s.negative_hits);
-        metrics.set_counter(component, "coalesced", s.coalesced);
-        metrics.set_counter(component, "inserts", s.inserts);
-        metrics.set_counter(component, "preloaded", s.preloaded);
-        // Published only once exercised, preserving fault-free snapshots
-        // byte-for-byte (the same lazy-registration convention the
-        // handle-cached counters follow).
-        if s.stale_serves > 0 {
-            metrics.set_counter(component, "stale_serves", s.stale_serves);
-        }
-        metrics.set_counter(component, "entries", self.len() as u64);
-    }
-}
-
-impl std::fmt::Debug for HnsCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HnsCache")
-            .field("mode", &self.mode())
-            .field("entries", &self.len())
-            .finish()
+        self.map.export_metrics(metrics, component);
     }
 }
 
@@ -946,16 +707,6 @@ mod tests {
         assert_eq!(cache.get(&world, &k2), Some(Value::str("b")));
         assert_eq!(cache.get(&world, &k3), Some(Value::str("c")));
         assert_eq!(cache.get(&world, &k4), Some(Value::str("d")));
-    }
-
-    #[test]
-    fn stats_reset() {
-        let world = simnet::World::paper();
-        let cache = HnsCache::new(CacheMode::Demarshalled);
-        cache.insert(&world, key(), &value(), 1, 600);
-        let _ = cache.get(&world, &key());
-        cache.reset_stats();
-        assert_eq!(cache.stats(), HnsCacheStats::default());
     }
 
     #[test]
@@ -1131,59 +882,67 @@ mod tests {
         assert_eq!(stats.misses, 0, "an expiry is not a plain miss");
     }
 
-    /// Regression (ISSUE 2 satellite): a coalesced waiter must count
-    /// exactly one `coalesced` — not a `miss` for its initial probe and
-    /// not a `hit` for its post-wait re-probe.
+    /// Regression: a coalesced waiter must count exactly one
+    /// `coalesced` — not a `miss` or `expired` for its initial probe and
+    /// not a `hit` for its post-wait re-probe — whether the leader
+    /// fetches a cold key or refreshes an expired one.
     #[test]
     fn coalesced_waiters_are_not_double_counted() {
         const WAITERS: usize = 4;
-        let world = simnet::World::paper();
-        let cache = Arc::new(HnsCache::new(CacheMode::Demarshalled));
+        for refresh in [false, true] {
+            let world = simnet::World::paper();
+            let cache = Arc::new(HnsCache::new(CacheMode::Demarshalled));
+            if refresh {
+                cache.insert(&world, key(), &value(), 1, 1);
+                world.charge_ms(1_500.0);
+            }
 
-        let guard = match cache.lookup_or_fetch(&world, &key()) {
-            LookupOrFetch::Lead(guard) => guard,
-            _ => panic!("leader expected"),
-        };
+            let guard = match cache.lookup_or_fetch(&world, &key()) {
+                LookupOrFetch::Lead(guard) => guard,
+                _ => panic!("leader expected"),
+            };
 
-        let barrier = Arc::new(std::sync::Barrier::new(WAITERS + 1));
-        let handles: Vec<_> = (0..WAITERS)
-            .map(|_| {
-                let world = Arc::clone(&world);
-                let cache = Arc::clone(&cache);
-                let barrier = Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    match cache.lookup_or_fetch(&world, &key()) {
-                        LookupOrFetch::Hit { value, .. } => (*value).clone(),
-                        _ => panic!("waiter must see the leader's insert"),
-                    }
+            let barrier = Arc::new(std::sync::Barrier::new(WAITERS + 1));
+            let handles: Vec<_> = (0..WAITERS)
+                .map(|_| {
+                    let world = Arc::clone(&world);
+                    let cache = Arc::clone(&cache);
+                    let barrier = Arc::clone(&barrier);
+                    std::thread::spawn(move || {
+                        barrier.wait();
+                        match cache.lookup_or_fetch(&world, &key()) {
+                            LookupOrFetch::Hit { value, .. } => (*value).clone(),
+                            _ => panic!("waiter must see the leader's insert"),
+                        }
+                    })
                 })
-            })
-            .collect();
+                .collect();
 
-        barrier.wait();
-        // Deterministic ordering: every waiter registers in the flight
-        // (bumping `coalesced`) before the fetch completes, so each one
-        // resolves via its quiet post-wait re-probe.
-        while cache.stats().coalesced < WAITERS as u64 {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        cache.insert(&world, key(), &value(), 1, 600);
-        drop(guard);
-        for h in handles {
-            assert_eq!(h.join().expect("join"), value());
-        }
+            barrier.wait();
+            // Deterministic ordering: every waiter registers in the flight
+            // (bumping `coalesced`) before the fetch completes, so each one
+            // resolves via its quiet post-wait re-probe.
+            while cache.stats().coalesced < WAITERS as u64 {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            cache.insert(&world, key(), &value(), 1, 600);
+            drop(guard);
+            for h in handles {
+                assert_eq!(h.join().expect("join"), value());
+            }
 
-        let stats = cache.stats();
-        // Exactly one stat per logical operation.
-        assert_eq!(stats.misses, 1, "only the leader's fetch is a miss");
-        assert_eq!(stats.coalesced, WAITERS as u64);
-        assert_eq!(
-            stats.hits, 0,
-            "a coalesced waiter's re-probe must not count a hit: {stats:?}"
-        );
-        assert_eq!(stats.expired, 0);
-        assert_eq!(stats.negative_hits, 0);
+            let stats = cache.stats();
+            // Exactly one stat per logical operation.
+            let (misses, expired) = if refresh { (0, 1) } else { (1, 0) };
+            assert_eq!(stats.misses, misses, "only the leader's fetch: {stats:?}");
+            assert_eq!(stats.expired, expired, "only the leader's fetch: {stats:?}");
+            assert_eq!(stats.coalesced, WAITERS as u64);
+            assert_eq!(
+                stats.hits, 0,
+                "a coalesced waiter's re-probe must not count a hit: {stats:?}"
+            );
+            assert_eq!(stats.negative_hits, 0);
+        }
     }
 
     #[test]

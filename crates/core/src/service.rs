@@ -156,7 +156,7 @@ impl Hns {
     ) -> Self {
         let resolver = HrpcResolver::new(Arc::clone(&net), host, meta_binding);
         let cache = Arc::new(HnsCache::new(cache_mode));
-        let binding_cache = Arc::new(BindingCache::new());
+        let binding_cache = Arc::new(BindingCache::default());
         // Snapshot-time stats flush through `World::export_all_caches`:
         // `Weak` captures keep dropped instances (e.g. the short-lived
         // registrar HNSes the harness builds) from re-publishing stale
@@ -607,13 +607,17 @@ impl Hns {
 
         // Composed fast path: a live binding-cache entry answers the
         // whole query in one probe. Only the context matters — the
-        // individual name plays no part in the mapping walk.
-        if self.binding_cache.enabled() {
+        // individual name plays no part in the mapping walk. The key is
+        // interned once, for both the probe and the insert.
+        let composed_key = self.binding_cache.enabled().then(|| {
+            (
+                intern::intern(qc.as_str()),
+                intern::intern(name.context.as_str()),
+            )
+        });
+        if let Some(key) = composed_key {
             let t0 = world.now();
-            if let Some(binding) =
-                self.binding_cache
-                    .lookup(&world, qc.as_str(), name.context.as_str())
-            {
+            if let Some(binding) = self.binding_cache.lookup(&world, key) {
                 world.cache_outcome(CacheOutcome::Hit);
                 let took = world.now().since(t0);
                 self.record_query_metrics(&world, batched, 0, took, false);
@@ -648,8 +652,9 @@ impl Hns {
         // A zero `min_ttl` (some constituent was stale-served or about to
         // lapse) is refused by the insert, so composed entries never
         // outlive their parts.
-        self.binding_cache
-            .insert(&world, qc.as_str(), name.context.as_str(), binding, min_ttl);
+        if let Some(key) = composed_key {
+            self.binding_cache.insert(&world, key, binding, min_ttl);
+        }
         Ok((
             binding,
             FindNsmReport {

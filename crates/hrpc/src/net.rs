@@ -287,7 +287,7 @@ impl RpcNet {
         if let Some(service) = t.services.remove(&(host, port)) {
             let name = service.service_name().to_string();
             t.by_name.remove(&(host, name));
-            t.programs.retain(|_, (p, _)| *p != port);
+            t.programs.retain(|(h, _), (p, _)| (*h, *p) != (host, port));
             *tables = Arc::new(t);
         }
     }
@@ -811,6 +811,20 @@ mod tests {
             Err(RpcError::NoSuchService { .. })
         ));
         assert!(net.portmap_getport(server, ProgramId(77)).is_err());
+    }
+
+    #[test]
+    fn unexport_keeps_other_hosts_at_the_same_port() {
+        let (_world, net, client, server) = setup();
+        let port = net.export(server, ProgramId(77), echo_service());
+        let other = net.export(client, ProgramId(77), echo_service());
+        assert_eq!(
+            port, other,
+            "each host numbers its exports from the same port"
+        );
+        net.unexport(server, port);
+        assert!(net.portmap_getport(server, ProgramId(77)).is_err());
+        assert_eq!(net.portmap_getport(client, ProgramId(77)).ok(), Some(other));
     }
 
     #[test]

@@ -14,6 +14,8 @@ use std::sync::Arc;
 use bindns::name::DomainName;
 use bindns::resolver::StdResolver;
 use bindns::rr::{RData, RType};
+use hns_core::cache::{CacheMode, HnsCache};
+use hns_core::intern::{self, NameId};
 use hns_core::name::{HnsName, NameMapping};
 use hns_core::nsm::Nsm;
 use hns_core::query::QueryClass;
@@ -23,8 +25,6 @@ use hrpc::net::RpcNet;
 use hrpc::{ComponentSet, HrpcBinding, ProgramId};
 use simnet::topology::HostId;
 use wire::Value;
-
-use crate::nsm_cache::{NsmCache, NsmCacheForm};
 
 /// Resource records' worth of marshalling a completed binding structure
 /// costs through the generated routines (the multi-field binding record).
@@ -39,7 +39,9 @@ pub struct BindingBindNsm {
     host: HostId,
     resolver: Arc<StdResolver>,
     mapping: NameMapping,
-    cache: NsmCache,
+    /// Completed bindings, keyed by the interned local and service names
+    /// and the program number of the query.
+    cache: HnsCache<(NameId, NameId, ProgramId)>,
     /// The native system's emulation suite for the *target service*.
     target_suite: ComponentSet,
 }
@@ -57,7 +59,7 @@ impl BindingBindNsm {
         host: HostId,
         resolver: Arc<StdResolver>,
         mapping: NameMapping,
-        cache_form: NsmCacheForm,
+        cache_form: CacheMode,
     ) -> Arc<Self> {
         Self::named(Self::NAME, net, host, resolver, mapping, cache_form)
     }
@@ -71,7 +73,7 @@ impl BindingBindNsm {
         host: HostId,
         resolver: Arc<StdResolver>,
         mapping: NameMapping,
-        cache_form: NsmCacheForm,
+        cache_form: CacheMode,
     ) -> Arc<Self> {
         Arc::new(BindingBindNsm {
             name: name.into(),
@@ -79,14 +81,16 @@ impl BindingBindNsm {
             host,
             resolver,
             mapping,
-            cache: NsmCache::new(cache_form),
+            cache: HnsCache::new(cache_form),
             target_suite: ComponentSet::sun(),
         })
     }
 
-    /// Cache statistics (hits, misses).
+    /// Cache statistics: (hits, misses), an expired probe counting as a
+    /// miss.
     pub fn cache_stats(&self) -> (u64, u64) {
-        self.cache.stats()
+        let s = self.cache.stats();
+        (s.hits, s.misses + s.expired)
     }
 
     /// Clears the result cache.
@@ -133,7 +137,7 @@ impl Nsm for BindingBindNsm {
             .to_local(&hns_name.individual)
             .map_err(|e| RpcError::Service(e.to_string()))?;
 
-        let cache_key = format!("{local}|{service}|{}", program.0);
+        let cache_key = (intern::intern(&local), intern::intern(service), program);
         if let Some(cached) = self.cache.get(world, &cache_key) {
             world.charge_ms(world.costs.nsm_assemble);
             return Ok(cached);

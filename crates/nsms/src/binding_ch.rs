@@ -11,6 +11,8 @@ use std::sync::Arc;
 use clearinghouse::client::ChClient;
 use clearinghouse::name::ThreePartName;
 use clearinghouse::property::PROP_ADDRESS;
+use hns_core::cache::{CacheMode, HnsCache};
+use hns_core::intern::{self, NameId};
 use hns_core::name::{HnsName, NameMapping};
 use hns_core::nsm::Nsm;
 use hns_core::query::QueryClass;
@@ -20,8 +22,6 @@ use hrpc::net::RpcNet;
 use hrpc::{ComponentSet, HrpcBinding, ProgramId};
 use simnet::topology::HostId;
 use wire::Value;
-
-use crate::nsm_cache::{NsmCache, NsmCacheForm};
 
 const BINDING_MARSHAL_RRS: usize = 6;
 const CACHED_BINDING_RRS: usize = 2;
@@ -36,7 +36,9 @@ pub struct BindingChNsm {
     host: HostId,
     client: Arc<ChClient>,
     mapping: NameMapping,
-    cache: NsmCache,
+    /// Completed bindings, keyed by the interned local and service names
+    /// and the program number of the query.
+    cache: HnsCache<(NameId, NameId, ProgramId)>,
     target_suite: ComponentSet,
 }
 
@@ -50,7 +52,7 @@ impl BindingChNsm {
         host: HostId,
         client: Arc<ChClient>,
         mapping: NameMapping,
-        cache_form: NsmCacheForm,
+        cache_form: CacheMode,
     ) -> Arc<Self> {
         Arc::new(BindingChNsm {
             name: Self::NAME.to_string(),
@@ -58,14 +60,16 @@ impl BindingChNsm {
             host,
             client,
             mapping,
-            cache: NsmCache::new(cache_form),
+            cache: HnsCache::new(cache_form),
             target_suite: ComponentSet::courier(),
         })
     }
 
-    /// Cache statistics (hits, misses).
+    /// Cache statistics: (hits, misses), an expired probe counting as a
+    /// miss.
     pub fn cache_stats(&self) -> (u64, u64) {
-        self.cache.stats()
+        let s = self.cache.stats();
+        (s.hits, s.misses + s.expired)
     }
 
     /// Publishes this NSM's cache stats into `metrics` under `component`.
@@ -93,7 +97,7 @@ impl Nsm for BindingChNsm {
             .to_local(&hns_name.individual)
             .map_err(|e| RpcError::Service(e.to_string()))?;
 
-        let cache_key = format!("{local}|{service}|{}", program.0);
+        let cache_key = (intern::intern(&local), intern::intern(service), program);
         if let Some(cached) = self.cache.get(world, &cache_key) {
             world.charge_ms(world.costs.nsm_assemble);
             return Ok(cached);

@@ -38,7 +38,6 @@ use crate::binding_ch::BindingChNsm;
 use crate::file_loc::{FileBindNsm, FileChNsm};
 use crate::hostaddr::{HostAddrBindNsm, HostAddrChNsm};
 use crate::mail::{MailBindNsm, MailChNsm};
-use crate::nsm_cache::NsmCacheForm;
 use crate::user_info::{UserBindNsm, UserChNsm, PROP_USER};
 
 /// The name service name under which BIND is registered with the HNS.
@@ -348,7 +347,7 @@ impl Testbed {
 
     /// Deploys the two binding NSMs on `host` and registers them with the
     /// HNS meta store (replacing any previous registration).
-    pub fn deploy_binding_nsms(&self, host: HostId, form: NsmCacheForm) -> DeployedBindingNsms {
+    pub fn deploy_binding_nsms(&self, host: HostId, form: CacheMode) -> DeployedBindingNsms {
         let bind_nsm = BindingBindNsm::new(
             Arc::clone(&self.net),
             host,
@@ -377,7 +376,7 @@ impl Testbed {
         // experiment established (`nsm_cache`); a Disabled cache stays
         // silent. The CH NSM's cache is not registered — one component,
         // one instance, last-writer-wins.
-        if form != NsmCacheForm::Disabled {
+        if form != CacheMode::Disabled {
             let weak = Arc::downgrade(&bind_nsm);
             self.world.register_cache_exporter(Box::new(move |metrics| {
                 if let Some(nsm) = weak.upgrade() {
@@ -430,7 +429,7 @@ impl Testbed {
     /// registration: `FindNSM` keeps designating the primary, and the
     /// replica only serves as an [`crate::import::Importer`] failover
     /// target when the primary's host is crashed or partitioned away.
-    pub fn deploy_binding_bind_replica(&self, host: HostId, form: NsmCacheForm) -> HrpcBinding {
+    pub fn deploy_binding_bind_replica(&self, host: HostId, form: CacheMode) -> HrpcBinding {
         let nsm = BindingBindNsm::new(
             Arc::clone(&self.net),
             host,

@@ -25,4 +25,3 @@ pub use binding_ch::BindingChNsm;
 pub use harness::{DeployedBindingNsms, Hosts, Testbed};
 pub use hostaddr::{HostAddrBindNsm, HostAddrChNsm};
 pub use import::Importer;
-pub use nsm_cache::{NsmCache, NsmCacheForm};

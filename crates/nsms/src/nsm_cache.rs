@@ -1,237 +1,8 @@
-//! The NSM-side result cache.
+//! The NSM result cache's storage form, under its original path.
 //!
-//! "Both the HNS and the NSMs were modified to cache the results of remote
-//! lookups." An NSM caches completed results (e.g. a finished HRPC binding)
-//! keyed by the query it answered, with the same marshalled/demarshalled
-//! form distinction as the HNS cache.
-//!
-//! Like [`hns_core::cache::HnsCache`], entries are lock-striped across
-//! independent shards and demarshalled entries are stored behind an `Arc`,
-//! so concurrent NSM queries on different keys never serialize on one
-//! global mutex.
+//! The binding NSMs cache completed bindings in an
+//! [`HnsCache`](hns_core::cache::HnsCache), the HNS's own form-storing
+//! layer; its mode is the HNS [`CacheMode`](hns_core::cache::CacheMode).
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-use simnet::time::{SimDuration, SimTime};
-use simnet::world::World;
-use simnet::CacheForm;
-use wire::Value;
-
-/// Number of lock-striped shards.
-const SHARDS: usize = 8;
-
-/// Storage form for NSM cache entries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NsmCacheForm {
-    /// No caching.
-    Disabled,
-    /// Wire form; hits pay a generated demarshal.
-    Marshalled,
-    /// Decoded form; hits are nearly free.
-    Demarshalled,
-}
-
-#[derive(Debug)]
-enum Stored {
-    Bytes(Vec<u8>),
-    Decoded(Arc<Value>),
-}
-
-#[derive(Debug)]
-struct Entry {
-    stored: Stored,
-    rrs: usize,
-    expires_at: SimTime,
-}
-
-/// A cache of completed NSM results.
-pub struct NsmCache {
-    form: NsmCacheForm,
-    shards: Vec<Mutex<HashMap<String, Entry>>>,
-    hits: std::sync::atomic::AtomicU64,
-    misses: std::sync::atomic::AtomicU64,
-}
-
-impl NsmCache {
-    /// Creates a cache with the given storage form.
-    pub fn new(form: NsmCacheForm) -> Self {
-        NsmCache {
-            form,
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            hits: std::sync::atomic::AtomicU64::new(0),
-            misses: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
-    /// The storage form.
-    pub fn form(&self) -> NsmCacheForm {
-        self.form
-    }
-
-    fn shard(&self, key: &str) -> &Mutex<HashMap<String, Entry>> {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % SHARDS]
-    }
-
-    /// Looks up a completed result, charging probe + form-dependent cost.
-    pub fn get(&self, world: &World, key: &str) -> Option<Value> {
-        if self.form == NsmCacheForm::Disabled {
-            return None;
-        }
-        world.charge_ms(world.costs.cache_probe);
-        let mut entries = self.shard(key).lock();
-        match entries.get(key) {
-            Some(entry) if entry.expires_at > world.now() => {
-                let value = match &entry.stored {
-                    Stored::Bytes(bytes) => {
-                        world.charge_ms(world.costs.cache_hit(CacheForm::Marshalled, entry.rrs));
-                        wire::xdr::decode(bytes).ok()?
-                    }
-                    Stored::Decoded(v) => {
-                        world.charge_ms(world.costs.cache_hit(CacheForm::Demarshalled, entry.rrs));
-                        // `Nsm::handle` replies with an owned Value, so the
-                        // clone happens at this boundary; the shard lock is
-                        // never held across a demarshal of wire bytes.
-                        (**v).clone()
-                    }
-                };
-                self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                world.cache_outcome(simnet::trace::CacheOutcome::Hit);
-                Some(value)
-            }
-            Some(_) => {
-                entries.remove(key);
-                self.misses
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                world.cache_outcome(simnet::trace::CacheOutcome::Expired);
-                None
-            }
-            None => {
-                self.misses
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                world.cache_outcome(simnet::trace::CacheOutcome::Miss);
-                None
-            }
-        }
-    }
-
-    /// Inserts a completed result.
-    pub fn insert(&self, world: &World, key: String, value: &Value, rrs: usize, ttl_secs: u32) {
-        if self.form == NsmCacheForm::Disabled {
-            return;
-        }
-        let stored = match self.form {
-            NsmCacheForm::Marshalled => match wire::xdr::encode(value) {
-                Ok(bytes) => Stored::Bytes(bytes),
-                Err(_) => return,
-            },
-            NsmCacheForm::Demarshalled => Stored::Decoded(Arc::new(value.clone())),
-            NsmCacheForm::Disabled => unreachable!("checked above"),
-        };
-        let expires_at = world.now() + SimDuration::from_ms(u64::from(ttl_secs) * 1000);
-        self.shard(&key).lock().insert(
-            key,
-            Entry {
-                stored,
-                rrs,
-                expires_at,
-            },
-        );
-    }
-
-    /// (hits, misses) so far.
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(std::sync::atomic::Ordering::Relaxed),
-            self.misses.load(std::sync::atomic::Ordering::Relaxed),
-        )
-    }
-
-    /// Drops all entries.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().clear();
-        }
-    }
-
-    /// Publishes current hit/miss totals into a metrics registry under
-    /// `component` (snapshot-time export; the hot path keeps its own
-    /// atomics).
-    pub fn export_metrics(&self, metrics: &simnet::obs::MetricsRegistry, component: &str) {
-        let (hits, misses) = self.stats();
-        metrics.set_counter(component, "hits", hits);
-        metrics.set_counter(component, "misses", misses);
-        let entries = self
-            .shards
-            .iter()
-            .map(|shard| shard.lock().len() as u64)
-            .sum();
-        metrics.set_counter(component, "entries", entries);
-    }
-}
-
-impl std::fmt::Debug for NsmCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NsmCache")
-            .field("form", &self.form)
-            .finish()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn disabled_form_never_caches() {
-        let world = simnet::World::paper();
-        let cache = NsmCache::new(NsmCacheForm::Disabled);
-        cache.insert(&world, "k".into(), &Value::U32(1), 1, 600);
-        assert!(cache.get(&world, "k").is_none());
-    }
-
-    #[test]
-    fn marshalled_hit_cost() {
-        let world = simnet::World::paper();
-        let cache = NsmCache::new(NsmCacheForm::Marshalled);
-        cache.insert(&world, "k".into(), &Value::U32(1), 2, 600);
-        let (got, took, _) = world.measure(|| cache.get(&world, "k"));
-        assert_eq!(got, Some(Value::U32(1)));
-        // probe 0.05 + 8.10 + 2*3.01 = 14.17
-        assert!((took.as_ms_f64() - 14.17).abs() < 0.1, "took {took}");
-        assert_eq!(cache.stats(), (1, 0));
-    }
-
-    #[test]
-    fn demarshalled_hit_is_cheap() {
-        let world = simnet::World::paper();
-        let cache = NsmCache::new(NsmCacheForm::Demarshalled);
-        cache.insert(&world, "k".into(), &Value::U32(1), 2, 600);
-        let (_, took, _) = world.measure(|| cache.get(&world, "k"));
-        assert!(took.as_ms_f64() < 1.1, "took {took}");
-    }
-
-    #[test]
-    fn ttl_expiry() {
-        let world = simnet::World::paper();
-        let cache = NsmCache::new(NsmCacheForm::Demarshalled);
-        cache.insert(&world, "k".into(), &Value::U32(1), 1, 1);
-        world.charge_ms(1500.0);
-        assert!(cache.get(&world, "k").is_none());
-        assert_eq!(cache.stats().1, 1);
-    }
-
-    #[test]
-    fn clear_empties() {
-        let world = simnet::World::paper();
-        let cache = NsmCache::new(NsmCacheForm::Demarshalled);
-        cache.insert(&world, "k".into(), &Value::U32(1), 1, 600);
-        cache.clear();
-        assert!(cache.get(&world, "k").is_none());
-    }
-}
+/// The storage form of an NSM result cache.
+pub use hns_core::cache::CacheMode as NsmCacheForm;

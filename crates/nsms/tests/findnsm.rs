@@ -11,7 +11,6 @@ use hns_core::query::QueryClass;
 use nsms::harness::{
     Testbed, DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, PRINT_SERVICE, PRINT_SERVICE_PROGRAM,
 };
-use nsms::nsm_cache::NsmCacheForm;
 use nsms::Importer;
 use wire::Value;
 
@@ -28,7 +27,7 @@ fn cold_findnsm_makes_exactly_six_data_mappings() {
     // "the basic HNS scheme requires six data mappings, each of which
     // involves a remote call in the case of a cache miss".
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Marshalled);
+    tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Marshalled);
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Marshalled);
     let (result, _took, delta) = tb
         .world
@@ -43,7 +42,7 @@ fn cold_findnsm_makes_exactly_six_data_mappings() {
 #[test]
 fn warm_findnsm_makes_no_remote_calls() {
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Marshalled);
+    tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Marshalled);
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Marshalled);
     let qc = QueryClass::hrpc_binding();
     hns.find_nsm(&qc, &fiji_name(&tb)).expect("cold");
@@ -63,7 +62,7 @@ fn cold_findnsm_cost_matches_decomposition() {
     // 4 one-record meta lookups (~65.7 each) + the six-record NSM info
     // lookup (~77.8) + one public BIND lookup (~26.7) + bookkeeping.
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Marshalled);
+    tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Marshalled);
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Marshalled);
     let (result, took, _) = tb
         .world
@@ -79,7 +78,7 @@ fn cold_findnsm_cost_matches_decomposition() {
 #[test]
 fn uncached_findnsm_always_pays_full_price() {
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Marshalled);
+    tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Marshalled);
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Disabled);
     let qc = QueryClass::hrpc_binding();
     hns.find_nsm(&qc, &fiji_name(&tb)).expect("first");
@@ -92,7 +91,7 @@ fn uncached_findnsm_always_pays_full_price() {
 fn import_row1_cold_matches_table_3_1_column_a() {
     // Arrangement [Client, HNS, NSMs], cache miss: paper 460 ms.
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.client, NsmCacheForm::Marshalled);
+    tb.deploy_binding_nsms(tb.hosts.client, CacheMode::Marshalled);
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Marshalled);
     let importer = Importer::new(Arc::clone(&tb.net), tb.hosts.client, HnsHandle::Linked(hns));
     let (binding, took, _) = tb
@@ -111,7 +110,7 @@ fn import_row1_cold_matches_table_3_1_column_a() {
 fn import_row1_hns_hit_matches_table_3_1_column_b() {
     // HNS cache hit, NSM cache miss: paper 180 ms.
     let tb = Testbed::build();
-    let nsms = tb.deploy_binding_nsms(tb.hosts.client, NsmCacheForm::Marshalled);
+    let nsms = tb.deploy_binding_nsms(tb.hosts.client, CacheMode::Marshalled);
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Marshalled);
     let importer = Importer::new(Arc::clone(&tb.net), tb.hosts.client, HnsHandle::Linked(hns));
     importer
@@ -132,7 +131,7 @@ fn import_row1_hns_hit_matches_table_3_1_column_b() {
 fn import_row1_both_hit_matches_table_3_1_column_c() {
     // Both caches hit: paper 104 ms.
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.client, NsmCacheForm::Marshalled);
+    tb.deploy_binding_nsms(tb.hosts.client, CacheMode::Marshalled);
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Marshalled);
     let importer = Importer::new(Arc::clone(&tb.net), tb.hosts.client, HnsHandle::Linked(hns));
     importer
@@ -152,7 +151,7 @@ fn import_row1_both_hit_matches_table_3_1_column_c() {
 #[test]
 fn imported_binding_actually_calls_the_service() {
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Marshalled);
+    tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Marshalled);
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
     let importer = Importer::new(Arc::clone(&tb.net), tb.hosts.client, HnsHandle::Linked(hns));
     let binding = importer
@@ -170,7 +169,7 @@ fn identical_client_code_binds_courier_service_via_clearinghouse() {
     // The heterogeneity claim: the same Import call works for a name that
     // lives in the Clearinghouse, without the client knowing.
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Marshalled);
+    tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Marshalled);
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
     let importer = Importer::new(Arc::clone(&tb.net), tb.hosts.client, HnsHandle::Linked(hns));
     let binding = importer
@@ -192,7 +191,7 @@ fn identical_client_code_binds_courier_service_via_clearinghouse() {
 #[test]
 fn clearinghouse_binding_is_slower_due_to_auth_and_disk() {
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Marshalled);
+    tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Marshalled);
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Marshalled);
     let importer = Importer::new(
         Arc::clone(&tb.net),
@@ -237,7 +236,7 @@ fn batched_cold_findnsm_makes_at_most_two_remote_calls() {
     // chaser piggybacks mappings 2-5, leaving only the public-BIND host
     // lookup as a second round trip.
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Marshalled);
+    tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Marshalled);
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Marshalled);
     hns.set_batching(true);
     let (result, _, delta) = tb
@@ -260,7 +259,7 @@ fn batched_cold_findnsm_makes_at_most_two_remote_calls() {
 #[test]
 fn batched_findnsm_returns_the_same_binding_faster() {
     let sequential = Testbed::build();
-    sequential.deploy_binding_nsms(sequential.hosts.nsm, NsmCacheForm::Marshalled);
+    sequential.deploy_binding_nsms(sequential.hosts.nsm, CacheMode::Marshalled);
     let seq_hns = sequential.make_hns(sequential.hosts.client, CacheMode::Marshalled);
     let (seq_binding, seq_took, _) = sequential
         .world
@@ -268,7 +267,7 @@ fn batched_findnsm_returns_the_same_binding_faster() {
     let seq_binding = seq_binding.expect("sequential");
 
     let batched = Testbed::build();
-    batched.deploy_binding_nsms(batched.hosts.nsm, NsmCacheForm::Marshalled);
+    batched.deploy_binding_nsms(batched.hosts.nsm, CacheMode::Marshalled);
     let bat_hns = batched.make_hns(batched.hosts.client, CacheMode::Marshalled);
     bat_hns.set_batching(true);
     let (bat_binding, bat_took, _) = batched
@@ -293,7 +292,7 @@ fn batching_serves_even_a_disabled_cache_via_the_overlay() {
     // With caching off the batch cannot seed anything persistent, but the
     // overlay still carries the piggybacked sets through one FindNSM.
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Marshalled);
+    tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Marshalled);
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Disabled);
     hns.set_batching(true);
     let (result, _, delta) = tb
@@ -312,7 +311,7 @@ fn dynamic_updates_flow_into_findnsm_without_client_changes() {
     // Direct access: an application registers a brand-new query class at
     // runtime; existing HNS clients can use it immediately.
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Marshalled);
+    tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Marshalled);
     tb.deploy_extension_nsms(tb.hosts.nsm);
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
     let binding = hns

@@ -3,6 +3,7 @@
 
 use std::sync::Arc;
 
+use hns_core::cache::CacheMode;
 use hns_core::name::{HnsName, NameMapping};
 use hns_core::nsm::Nsm;
 use hns_core::query::QueryClass;
@@ -11,7 +12,6 @@ use nsms::file_loc::{FileBindNsm, FileChNsm};
 use nsms::harness::Testbed;
 use nsms::hostaddr::{HostAddrBindNsm, HostAddrChNsm};
 use nsms::mail::{MailBindNsm, MailChNsm};
-use nsms::nsm_cache::NsmCacheForm;
 use nsms::{BindingBindNsm, BindingChNsm};
 use wire::Value;
 
@@ -96,7 +96,7 @@ fn binding_bind_nsm_requires_service_args() {
         tb.hosts.client,
         tb.std_resolver(tb.hosts.client),
         NameMapping::Identity,
-        NsmCacheForm::Disabled,
+        CacheMode::Disabled,
     );
     let err = nsm
         .handle(&bind_name(&tb, "fiji.cs.washington.edu"), &Value::Void)
@@ -112,7 +112,7 @@ fn binding_bind_nsm_unknown_host_fails_cleanly() {
         tb.hosts.client,
         tb.std_resolver(tb.hosts.client),
         NameMapping::Identity,
-        NsmCacheForm::Disabled,
+        CacheMode::Disabled,
     );
     let args = Value::record(vec![
         ("service", Value::str("X")),
@@ -132,7 +132,7 @@ fn binding_nsm_cache_serves_repeat_queries() {
         tb.hosts.client,
         tb.std_resolver(tb.hosts.client),
         NameMapping::Identity,
-        NsmCacheForm::Demarshalled,
+        CacheMode::Demarshalled,
     );
     let args = Value::record(vec![
         ("service", Value::str(nsms::harness::DESIRED_SERVICE)),
@@ -159,7 +159,7 @@ fn binding_ch_nsm_returns_courier_binding() {
         tb.hosts.client,
         tb.ch_client(tb.hosts.client),
         NameMapping::Identity,
-        NsmCacheForm::Disabled,
+        CacheMode::Disabled,
     );
     let args = Value::record(vec![
         ("service", Value::str(nsms::harness::PRINT_SERVICE)),
@@ -308,7 +308,7 @@ fn user_info_nsms_share_an_interface() {
 fn user_info_resolves_through_findnsm() {
     use hns_core::cache::CacheMode;
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
+    tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Demarshalled);
     tb.deploy_extension_nsms(tb.hosts.nsm);
     tb.deploy_user_nsms(tb.hosts.nsm);
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);

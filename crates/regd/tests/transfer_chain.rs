@@ -6,7 +6,6 @@ use hns_core::cache::CacheMode;
 use hns_core::name::{Context, HnsName};
 use hns_core::query::QueryClass;
 use nsms::harness::{NSM_EXPORT_PROGRAM, NS_BIND, NS_CH};
-use nsms::nsm_cache::NsmCacheForm;
 use regd::harness::{owner_key, owner_name, RegTestbed};
 use regd::{RegClient, RegError, RegServer};
 use simnet::faults::FaultPlan;
@@ -94,7 +93,7 @@ fn a_64_link_chain_collapses_to_one_hop() {
 fn find_nsm_follows_a_rebinding_transfer_transparently() {
     let rtb = RegTestbed::build(2);
     rtb.tb
-        .deploy_binding_nsms(rtb.tb.hosts.nsm, NsmCacheForm::Disabled);
+        .deploy_binding_nsms(rtb.tb.hosts.nsm, CacheMode::Disabled);
     let reg = &rtb.registry;
 
     // Register `relay` bound to BIND: the rebinder pushes the context

@@ -19,6 +19,8 @@
 //! * [`des`] — a small discrete-event/queueing core for the load ablation.
 //! * [`faults`] — deterministic fault injection (crash windows, link
 //!   partitions, latency spikes) scheduled in virtual time.
+//! * [`ttl_map`] — the sharded TTL map, with its statistics, under every
+//!   cache in the system.
 //!
 //! # Examples
 //!
@@ -45,6 +47,7 @@ pub mod rng;
 pub mod time;
 pub mod topology;
 pub mod trace;
+pub mod ttl_map;
 pub mod world;
 
 pub use obs;

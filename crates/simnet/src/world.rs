@@ -88,10 +88,12 @@ pub struct World {
 /// atomics into the shared registry.
 pub type CacheExporter = Box<dyn Fn(&MetricsRegistry) + Send + Sync>;
 
-/// Snapshot-time cache exporters registered by components whose caches
-/// keep private atomics (`hns_cache`, `hns_binding_cache`, `nsm_cache`,
-/// `bindns_cache`). [`World::export_all_caches`] runs them all, so a
-/// mid-run sample sees current totals instead of stale zeros.
+/// Snapshot-time cache exporters: each flushes one cache's
+/// [`crate::ttl_map::TtlMap`] statistics through
+/// [`crate::ttl_map::TtlMap::export_metrics`] under its component
+/// (`hns_cache`, `hns_binding_cache`, `nsm_cache`, `bindns_cache`).
+/// [`World::export_all_caches`] runs them all, so a mid-run sample sees
+/// current totals instead of stale zeros.
 #[derive(Default)]
 struct CacheExporters(RwLock<Vec<CacheExporter>>);
 

@@ -14,7 +14,6 @@
 use hns_bench::scenario::{deploy, Arrangement, CacheState};
 use hns_repro::hns_core::analysis::Eq1Inputs;
 use hns_repro::hns_core::cache::CacheMode;
-use hns_repro::nsms::nsm_cache::NsmCacheForm;
 
 fn main() {
     println!("measuring the five colocation arrangements (marshalled caches)...\n");
@@ -24,7 +23,7 @@ fn main() {
     );
     let mut cells = Vec::new();
     for arrangement in Arrangement::all() {
-        let deployed = deploy(arrangement, NsmCacheForm::Marshalled, CacheMode::Marshalled);
+        let deployed = deploy(arrangement, CacheMode::Marshalled, CacheMode::Marshalled);
         let a = deployed.measure(CacheState::Miss);
         let b = deployed.measure(CacheState::HnsHit);
         let c = deployed.measure(CacheState::BothHit);

@@ -31,7 +31,6 @@ use hns_repro::hns_core::query::QueryClass;
 use hns_repro::hrpc::server::ProcServer;
 use hns_repro::hrpc::ProgramId;
 use hns_repro::nsms::harness::Testbed;
-use hns_repro::nsms::nsm_cache::NsmCacheForm;
 use hns_repro::nsms::{BindingBindNsm, HostAddrBindNsm, Importer};
 use hns_repro::simnet::topology::NetAddr;
 use hns_repro::wire::Value;
@@ -39,7 +38,7 @@ use hns_repro::wire::Value;
 fn main() {
     // Day 0: the established federation (BIND + Clearinghouse).
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
+    tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Demarshalled);
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
     let importer = Importer::new(
         Arc::clone(&tb.net),
@@ -95,7 +94,7 @@ fn main() {
         tb.hosts.nsm,
         ee_resolver(),
         NameMapping::Identity,
-        NsmCacheForm::Demarshalled,
+        CacheMode::Demarshalled,
     );
     let port = tb.net.export(
         tb.hosts.nsm,

@@ -24,12 +24,11 @@ use hns_repro::hns_core::nsm::NsmClient;
 use hns_repro::hns_core::query::QueryClass;
 use hns_repro::hrpc::HrpcBinding;
 use hns_repro::nsms::harness::{Testbed, DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM};
-use hns_repro::nsms::nsm_cache::NsmCacheForm;
 use hns_repro::wire::Value;
 
 fn main() {
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.client, NsmCacheForm::Marshalled);
+    tb.deploy_binding_nsms(tb.hosts.client, CacheMode::Marshalled);
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Marshalled);
 
     // The client presents an HNS name: context + individual name. The

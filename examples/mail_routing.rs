@@ -16,11 +16,10 @@ use hns_repro::hns_core::name::HnsName;
 use hns_repro::hns_core::nsm::NsmClient;
 use hns_repro::hns_core::query::QueryClass;
 use hns_repro::nsms::harness::Testbed;
-use hns_repro::nsms::nsm_cache::NsmCacheForm;
 
 fn main() {
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
+    tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Demarshalled);
     // The mail and file NSMs are "extension" applications: registering
     // them is the only step a new query class needs.
     tb.deploy_extension_nsms(tb.hosts.nsm);

@@ -19,7 +19,6 @@ use hns_repro::hns_core::name::HnsName;
 use hns_repro::nsms::harness::{
     Testbed, DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, PRINT_SERVICE, PRINT_SERVICE_PROGRAM,
 };
-use hns_repro::nsms::nsm_cache::NsmCacheForm;
 use hns_repro::nsms::Importer;
 use hns_repro::wire::Value;
 
@@ -27,7 +26,7 @@ fn main() {
     // 1. The heterogeneous environment: two underlying name services that
     //    never heard of each other, plus the HNS meta store.
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
+    tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Demarshalled);
 
     // 2. An HNS instance linked with the client, its host-address NSMs
     //    linked in to break FindNSM recursion.

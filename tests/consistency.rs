@@ -11,20 +11,19 @@ use hns_repro::hns_core::cache::CacheMode;
 use hns_repro::hns_core::name::{Context, HnsName, NameMapping};
 use hns_repro::hns_core::query::QueryClass;
 use hns_repro::nsms::harness::Testbed;
-use hns_repro::nsms::nsm_cache::NsmCacheForm;
 use hns_repro::simnet::World;
 
 #[test]
 fn meta_updates_become_visible_when_ttl_expires() {
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
+    tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Demarshalled);
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
     let name = HnsName::new(tb.ctx_bind(), "fiji.cs.washington.edu").expect("name");
     let qc = QueryClass::hrpc_binding();
     let before = hns.find_nsm(&qc, &name).expect("first find");
 
     // Redeploy the NSMs elsewhere (replaces the meta registration).
-    tb.deploy_binding_nsms(tb.hosts.agent, NsmCacheForm::Demarshalled);
+    tb.deploy_binding_nsms(tb.hosts.agent, CacheMode::Demarshalled);
 
     // Within the TTL the old answer persists (the paper accepts this).
     let cached = hns.find_nsm(&qc, &name).expect("cached find");
@@ -43,7 +42,7 @@ fn native_updates_to_public_bind_flow_through_unmodified() {
     // its own name service; HNS clients observe it after TTL expiry with
     // no reregistration step anywhere.
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
+    tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Demarshalled);
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
     let name = HnsName::new(tb.ctx_bind(), "fiji.cs.washington.edu").expect("name");
     let qc = QueryClass::hrpc_binding();

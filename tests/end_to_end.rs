@@ -11,7 +11,6 @@ use hns_repro::hns_core::query::QueryClass;
 use hns_repro::hrpc::net::LossPlan;
 use hns_repro::hrpc::{ComponentSet, HrpcBinding};
 use hns_repro::nsms::harness::{Testbed, DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM};
-use hns_repro::nsms::nsm_cache::NsmCacheForm;
 use hns_repro::nsms::Importer;
 use hns_repro::simnet::topology::NetAddr;
 use hns_repro::wire::Value;
@@ -22,7 +21,7 @@ fn remote_hns_serves_many_clients() {
     // shared server's cache warms across clients — the paper's argument
     // for why a remote HNS can see a higher hit fraction.
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
+    tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Demarshalled);
     let hns = tb.make_hns(tb.hosts.hns, CacheMode::Demarshalled);
     let port = tb
         .net
@@ -55,13 +54,13 @@ fn remote_hns_serves_many_clients() {
 fn agent_and_direct_arrangements_return_identical_bindings() {
     let direct = deploy(
         Arrangement::AllLinked,
-        NsmCacheForm::Demarshalled,
+        CacheMode::Demarshalled,
         CacheMode::Demarshalled,
     );
     direct.run_import().expect("direct import");
     let agent = deploy(
         Arrangement::Agent,
-        NsmCacheForm::Demarshalled,
+        CacheMode::Demarshalled,
         CacheMode::Demarshalled,
     );
     agent.run_import().expect("agent import");
@@ -80,7 +79,7 @@ fn agent_and_direct_arrangements_return_identical_bindings() {
 #[test]
 fn nsm_host_failure_surfaces_as_rpc_error() {
     let tb = Testbed::build();
-    let nsms = tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
+    let nsms = tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Demarshalled);
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
     let importer = Importer::new(
         Arc::clone(&tb.net),
@@ -109,7 +108,7 @@ fn datagram_loss_is_retried_transparently() {
     // 30% loss on datagram legs: the portmapper exchange (UDP) retries
     // under its control protocol and the import still succeeds.
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.client, NsmCacheForm::Disabled);
+    tb.deploy_binding_nsms(tb.hosts.client, CacheMode::Disabled);
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
     let importer = Importer::new(Arc::clone(&tb.net), tb.hosts.client, HnsHandle::Linked(hns));
     let name = HnsName::new(tb.ctx_bind(), "fiji.cs.washington.edu").expect("name");
@@ -132,7 +131,7 @@ fn datagram_loss_is_retried_transparently() {
 #[test]
 fn all_five_arrangements_agree_on_results() {
     for arrangement in Arrangement::all() {
-        let deployed = deploy(arrangement, NsmCacheForm::Marshalled, CacheMode::Marshalled);
+        let deployed = deploy(arrangement, CacheMode::Marshalled, CacheMode::Marshalled);
         let ms = deployed.measure(CacheState::BothHit);
         assert!(
             (90.0..230.0).contains(&ms),
@@ -145,7 +144,7 @@ fn all_five_arrangements_agree_on_results() {
 #[test]
 fn bound_service_round_trips_data_through_native_representation() {
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
+    tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Demarshalled);
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
     let importer = Importer::new(Arc::clone(&tb.net), tb.hosts.client, HnsHandle::Linked(hns));
     let name = HnsName::new(tb.ctx_bind(), "fiji.cs.washington.edu").expect("name");

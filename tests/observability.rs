@@ -7,14 +7,13 @@ use hns_repro::hns_core::cache::CacheMode;
 use hns_repro::hns_core::name::HnsName;
 use hns_repro::hns_core::query::QueryClass;
 use hns_repro::nsms::harness::Testbed;
-use hns_repro::nsms::nsm_cache::NsmCacheForm;
 use hns_repro::simnet::trace::TraceKind;
 
 fn testbed_with_hns(
     mode: CacheMode,
 ) -> (Testbed, Arc<hns_repro::hns_core::Hns>, HnsName, QueryClass) {
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
+    tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Demarshalled);
     let hns = tb.make_hns(tb.hosts.client, mode);
     let name = HnsName::new(tb.ctx_bind(), "fiji.cs.washington.edu").expect("name");
     (tb, hns, name, QueryClass::hrpc_binding())

@@ -21,7 +21,6 @@ use hns_repro::hns_core::name::HnsName;
 use hns_repro::hns_core::query::QueryClass;
 use hns_repro::hns_core::service::Hns;
 use hns_repro::nsms::harness::Testbed;
-use hns_repro::nsms::nsm_cache::NsmCacheForm;
 use hns_repro::wire::Value;
 
 /// Builds an HNS instance whose meta store is a *secondary* copy of the
@@ -53,7 +52,7 @@ fn hns_on_secondary(tb: &Testbed) -> (Arc<Hns>, simnet::HostId) {
 #[test]
 fn secondary_meta_store_answers_findnsm() {
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
+    tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Demarshalled);
     let (hns, _) = hns_on_secondary(&tb);
     let name = HnsName::new(tb.ctx_bind(), "fiji.cs.washington.edu").expect("name");
     let binding = hns
@@ -65,7 +64,7 @@ fn secondary_meta_store_answers_findnsm() {
 #[test]
 fn clients_on_secondary_survive_primary_failure() {
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
+    tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Demarshalled);
     let (hns, _) = hns_on_secondary(&tb);
 
     // The primary meta BIND goes down.
@@ -89,7 +88,7 @@ fn clients_on_secondary_survive_primary_failure() {
 #[test]
 fn secondary_refresh_picks_up_new_registrations() {
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
+    tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Demarshalled);
 
     let secondary_host = tb.world.add_host("hnsbind2.cs.washington.edu");
     let secondary = Secondary::bootstrap(
@@ -175,7 +174,7 @@ fn clearinghouse_replicas_serve_reads_through_the_wire() {
 fn secondary_deployment_is_reachable_by_program_number() {
     let tb = Testbed::build();
     let (_, secondary_host) = {
-        tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
+        tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Demarshalled);
         hns_on_secondary(&tb)
     };
     let port = tb

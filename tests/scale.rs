@@ -8,13 +8,12 @@ use hns_repro::hns_core::cache::CacheMode;
 use hns_repro::hns_core::name::{Context, HnsName, NameMapping};
 use hns_repro::hns_core::query::QueryClass;
 use hns_repro::nsms::harness::{Testbed, NS_BIND, NS_CH};
-use hns_repro::nsms::nsm_cache::NsmCacheForm;
 
 const CONTEXTS: usize = 200;
 
 fn big_testbed() -> (Testbed, Vec<HnsName>) {
     let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
+    tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Demarshalled);
     let registrar = tb.make_hns(tb.hosts.meta, CacheMode::Disabled);
     let mut names = Vec::with_capacity(CONTEXTS);
     for i in 0..CONTEXTS {
