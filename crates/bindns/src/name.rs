@@ -1,5 +1,6 @@
 //! Domain names: case-insensitive dotted label sequences.
 
+use std::borrow::Borrow;
 use std::fmt;
 
 use crate::error::{NsError, NsResult};
@@ -30,30 +31,31 @@ impl DomainName {
         if trimmed.is_empty() {
             return Ok(DomainName::root());
         }
-        if trimmed.len() > MAX_NAME {
-            return Err(NsError::BadName(format!(
-                "name too long ({} bytes)",
-                trimmed.len()
-            )));
-        }
+        check_len(trimmed.len())?;
         let mut labels = Vec::new();
         for label in trimmed.split('.') {
             if label.is_empty() {
                 return Err(NsError::BadName(format!("empty label in `{s}`")));
             }
-            if label.len() > MAX_LABEL {
-                return Err(NsError::BadName(format!("label `{label}` too long")));
-            }
-            if !label
-                .bytes()
-                .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_')
-            {
-                return Err(NsError::BadName(format!(
-                    "bad character in label `{label}`"
-                )));
-            }
+            check_label(label)?;
             labels.push(label.to_ascii_lowercase());
         }
+        Ok(DomainName { labels })
+    }
+
+    /// Builds a name from its labels, leftmost first, with the checks
+    /// [`DomainName::parse`] applies, without rendering and re-splitting
+    /// a dotted string. Labels are lowercased in place.
+    pub fn from_labels(mut labels: Vec<String>) -> NsResult<DomainName> {
+        for label in &mut labels {
+            if label.is_empty() {
+                return Err(NsError::BadName("empty label".into()));
+            }
+            check_label(label)?;
+            label.make_ascii_lowercase();
+        }
+        let dotted = labels.iter().map(String::len).sum::<usize>() + labels.len().saturating_sub(1);
+        check_len(dotted)?;
         Ok(DomainName { labels })
     }
 
@@ -126,13 +128,52 @@ impl DomainName {
     }
 }
 
+/// Rejects a dotted rendering longer than [`MAX_NAME`] bytes.
+fn check_len(dotted: usize) -> NsResult<()> {
+    if dotted > MAX_NAME {
+        return Err(NsError::BadName(format!("name too long ({dotted} bytes)")));
+    }
+    Ok(())
+}
+
+/// Rejects a label longer than [`MAX_LABEL`] bytes or holding a byte
+/// other than an ASCII letter, digit, `-` or `_`.
+fn check_label(label: &str) -> NsResult<()> {
+    if label.len() > MAX_LABEL {
+        return Err(NsError::BadName(format!("label `{label}` too long")));
+    }
+    if !label
+        .bytes()
+        .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_')
+    {
+        return Err(NsError::BadName(format!(
+            "bad character in label `{label}`"
+        )));
+    }
+    Ok(())
+}
+
 impl fmt::Display for DomainName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.labels.is_empty() {
-            f.write_str(".")
-        } else {
-            f.write_str(&self.labels.join("."))
+        let Some((first, rest)) = self.labels.split_first() else {
+            return f.write_str(".");
+        };
+        f.write_str(first)?;
+        for label in rest {
+            f.write_str(".")?;
+            f.write_str(label)?;
         }
+        Ok(())
+    }
+}
+
+/// A name borrows as its label slice, so ordered and hashed maps keyed
+/// by names can be probed with any suffix of another name's labels (an
+/// ancestor) without building it. Consistent with `Eq`, `Ord` and
+/// `Hash`: all three are derived from the one `labels` field.
+impl Borrow<[String]> for DomainName {
+    fn borrow(&self) -> &[String] {
+        &self.labels
     }
 }
 

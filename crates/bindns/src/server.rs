@@ -14,6 +14,7 @@
 use std::sync::Arc;
 
 use parking_lot::RwLock;
+use simnet::obs::LazyCounter;
 use simnet::topology::HostId;
 use simnet::trace::TraceKind;
 
@@ -68,6 +69,18 @@ pub struct BindServer {
     allow_updates: bool,
     allow_unspec: bool,
     additional: RwLock<Option<Arc<dyn AdditionalProvider>>>,
+    handles: ServerMetricHandles,
+}
+
+/// Registry handles for the per-query `bindns` counters, resolved on
+/// first use so a query costs a striped atomic add, not a registry
+/// lookup with its key allocations and read lock.
+#[derive(Default)]
+struct ServerMetricHandles {
+    queries: LazyCounter,
+    mqueries: LazyCounter,
+    mquery_questions: LazyCounter,
+    chaser_additional_sets: LazyCounter,
 }
 
 impl BindServer {
@@ -79,6 +92,7 @@ impl BindServer {
             allow_updates: false,
             allow_unspec: false,
             additional: RwLock::new(None),
+            handles: ServerMetricHandles::default(),
         })
     }
 
@@ -91,6 +105,7 @@ impl BindServer {
             allow_updates: true,
             allow_unspec: true,
             additional: RwLock::new(None),
+            handles: ServerMetricHandles::default(),
         })
     }
 
@@ -140,7 +155,10 @@ impl BindServer {
     fn serve_query(&self, ctx: &CallCtx<'_>, args: &Value) -> RpcResult<Value> {
         ctx.world.charge_ms(ctx.world.costs.bind_service);
         ctx.world.count_ns_lookup();
-        ctx.world.metrics().inc("bindns", "queries");
+        self.handles
+            .queries
+            .get(ctx.world.metrics(), "bindns", "queries")
+            .inc();
         let question = Question::from_value(args).map_err(service_err)?;
         let _span = ctx
             .world
@@ -150,9 +168,7 @@ impl BindServer {
         let db = self.db.read();
         let answer = Self::answer_one(&db, &question);
         drop(db);
-        ctx.world.trace(
-            Some(ctx.host),
-            TraceKind::NameService,
+        ctx.world.trace(Some(ctx.host), TraceKind::NameService, || {
             format!(
                 "{}: query {} {} -> {:?} ({} records)",
                 self.name,
@@ -160,17 +176,22 @@ impl BindServer {
                 question.rtype,
                 answer.rcode,
                 answer.records.len()
-            ),
-        );
+            )
+        });
         answer.to_value().map_err(service_err)
     }
 
     fn serve_mquery(&self, ctx: &CallCtx<'_>, args: &Value) -> RpcResult<Value> {
         let mq = MultiQuestion::from_value(args).map_err(service_err)?;
-        ctx.world.metrics().inc("bindns", "mqueries");
-        ctx.world
-            .metrics()
-            .add("bindns", "mquery_questions", mq.questions.len() as u64);
+        let metrics = ctx.world.metrics();
+        self.handles
+            .mqueries
+            .get(metrics, "bindns", "mqueries")
+            .inc();
+        self.handles
+            .mquery_questions
+            .get(metrics, "bindns", "mquery_questions")
+            .add(mq.questions.len() as u64);
         let _span = ctx
             .world
             .span_lazy(Some(ctx.host), TraceKind::NameService, || {
@@ -204,19 +225,18 @@ impl BindServer {
             }
         }
         drop(db);
-        ctx.world
-            .metrics()
-            .add("bindns", "chaser_additional_sets", additional.len() as u64);
-        ctx.world.trace(
-            Some(ctx.host),
-            TraceKind::NameService,
+        self.handles
+            .chaser_additional_sets
+            .get(metrics, "bindns", "chaser_additional_sets")
+            .add(additional.len() as u64);
+        ctx.world.trace(Some(ctx.host), TraceKind::NameService, || {
             format!(
                 "{}: mquery {} questions -> {} additional sets",
                 self.name,
                 mq.questions.len(),
                 additional.len()
-            ),
-        );
+            )
+        });
         MultiAnswer {
             answers,
             additional,
@@ -238,16 +258,14 @@ impl BindServer {
             .iter()
             .map(ResourceRecord::to_value)
             .collect();
-        ctx.world.trace(
-            Some(ctx.host),
-            TraceKind::NameService,
+        ctx.world.trace(Some(ctx.host), TraceKind::NameService, || {
             format!(
                 "{}: AXFR {} ({} bytes)",
                 self.name,
                 origin,
                 zone.size_bytes()
-            ),
-        );
+            )
+        });
         Ok(Value::record(vec![
             ("serial", Value::U32(zone.serial())),
             ("size_bytes", Value::U32(zone.size_bytes() as u32)),
@@ -297,14 +315,12 @@ impl BindServer {
                 }
             }
         };
-        ctx.world.trace(
-            Some(ctx.host),
-            TraceKind::NameService,
+        ctx.world.trace(Some(ctx.host), TraceKind::NameService, || {
             format!(
                 "{}: IXFR {origin} from serial {from_serial} -> {mode} ({size_bytes} bytes)",
                 self.name
-            ),
-        );
+            )
+        });
         let records: Result<Vec<Value>, _> = records.iter().map(ResourceRecord::to_value).collect();
         Ok(Value::record(vec![
             ("serial", Value::U32(serial)),
@@ -335,16 +351,14 @@ impl BindServer {
             Some(zone) => op.apply(zone),
             None => Err(NsError::NotAuthoritative(op.target().to_string())),
         };
-        ctx.world.trace(
-            Some(ctx.host),
-            TraceKind::NameService,
+        ctx.world.trace(Some(ctx.host), TraceKind::NameService, || {
             format!(
                 "{}: update {} -> {:?}",
                 self.name,
                 op.target(),
                 outcome.as_ref().err()
-            ),
-        );
+            )
+        });
         Answer::from_result(outcome.map(|()| Vec::new()))
             .to_value()
             .map_err(service_err)

@@ -301,46 +301,35 @@ impl Zone {
     /// holds `NS` records. Returns the cut's `NS` records plus any glue
     /// `A` records this zone holds for the named servers.
     pub fn find_delegation(&self, name: &DomainName) -> Option<Vec<ResourceRecord>> {
-        let mut cursor = Some(name.clone());
-        let mut best: Option<Vec<ResourceRecord>> = None;
-        while let Some(candidate) = cursor {
-            if candidate.depth() <= self.origin.depth() {
-                break;
-            }
-            if let Some(set) = self.records.get(&candidate) {
-                let ns: Vec<ResourceRecord> = set
-                    .iter()
-                    .filter(|r| r.rtype == RType::Ns)
-                    .map(|b| b.to_record(&candidate))
-                    .collect();
-                if !ns.is_empty() {
-                    // Prefer the deepest cut; the first found walking up
-                    // from `name` is the deepest.
-                    if best.is_none() {
-                        best = Some(ns);
-                    }
-                }
-            }
-            cursor = candidate.parent();
-        }
-        best.map(|ns| {
-            let mut referral = ns;
-            let glue: Vec<ResourceRecord> = referral
-                .iter()
-                .filter_map(|r| match &r.rdata {
-                    RData::Domain(target) => self.records.get(target).map(|set| {
-                        set.iter()
-                            .filter(|g| g.rtype == RType::A)
-                            .map(|b| b.to_record(target))
-                            .collect::<Vec<_>>()
-                    }),
-                    _ => None,
-                })
-                .flatten()
-                .collect();
-            referral.extend(glue);
-            referral
-        })
+        // Walk up from `name` by probing ever shorter label suffixes (no
+        // ancestor is built); the first cut found is the deepest.
+        let labels = name.labels();
+        let below_origin = labels.len().saturating_sub(self.origin.depth());
+        let (owner, set) = (0..below_origin).find_map(|skip| {
+            self.records
+                .get_key_value(&labels[skip..])
+                .filter(|(_, set)| set.iter().any(|b| b.rtype == RType::Ns))
+        })?;
+        let mut referral: Vec<ResourceRecord> = set
+            .iter()
+            .filter(|b| b.rtype == RType::Ns)
+            .map(|b| b.to_record(owner))
+            .collect();
+        let glue: Vec<ResourceRecord> = referral
+            .iter()
+            .filter_map(|r| match &r.rdata {
+                RData::Domain(target) => self.records.get(target).map(|set| {
+                    set.iter()
+                        .filter(|g| g.rtype == RType::A)
+                        .map(|b| b.to_record(target))
+                        .collect::<Vec<_>>()
+                }),
+                _ => None,
+            })
+            .flatten()
+            .collect();
+        referral.extend(glue);
+        Some(referral)
     }
 
     /// All records, in deterministic (name-sorted) order: the zone
@@ -584,6 +573,55 @@ mod tests {
         assert!(z.find_delegation(&name("ee.washington.edu")).is_none());
         // Never at or above the origin.
         assert!(z.find_delegation(&name("washington.edu")).is_none());
+    }
+
+    #[test]
+    fn nested_cuts_refer_to_the_deepest_with_its_glue() {
+        let mut z = Zone::new(name("washington.edu"), 3600);
+        for (cut, server, host) in [
+            ("cs.washington.edu", "ns.cs.washington.edu", 9),
+            ("grad.cs.washington.edu", "ns.grad.cs.washington.edu", 10),
+        ] {
+            z.add(ResourceRecord {
+                name: name(cut),
+                rtype: RType::Ns,
+                ttl: 3600,
+                rdata: RData::Domain(name(server)),
+            })
+            .expect("ns");
+            z.add(ResourceRecord::a(
+                name(server),
+                3600,
+                NetAddr::of(HostId(host)),
+            ))
+            .expect("glue");
+        }
+        let referral = z
+            .find_delegation(&name("fiji.grad.cs.washington.edu"))
+            .expect("delegated");
+        assert_eq!(
+            referral,
+            vec![
+                ResourceRecord {
+                    name: name("grad.cs.washington.edu"),
+                    rtype: RType::Ns,
+                    ttl: 3600,
+                    rdata: RData::Domain(name("ns.grad.cs.washington.edu")),
+                },
+                ResourceRecord::a(
+                    name("ns.grad.cs.washington.edu"),
+                    3600,
+                    NetAddr::of(HostId(10))
+                ),
+            ],
+            "the deepest cut and only its glue"
+        );
+        // Beside the inner cut, the outer one still refers.
+        let outer = z
+            .find_delegation(&name("fiji.cs.washington.edu"))
+            .expect("delegated");
+        assert_eq!(outer[0].name, name("cs.washington.edu"));
+        assert_eq!(outer.len(), 2);
     }
 
     #[test]

@@ -73,16 +73,12 @@ impl ChClient {
                 other => {
                     let world = self.net.world();
                     world.metrics().inc("faults", "ch_read_failovers");
-                    if world.tracer.is_enabled() {
-                        world.trace(
-                            Some(self.host),
-                            TraceKind::NameService,
-                            format!(
-                                "CH read failover: {} -> {} ({primary})",
-                                self.server.host, replica.host
-                            ),
-                        );
-                    }
+                    world.trace(Some(self.host), TraceKind::NameService, || {
+                        format!(
+                            "CH read failover: {} -> {} ({primary})",
+                            self.server.host, replica.host
+                        )
+                    });
                     return other;
                 }
             }

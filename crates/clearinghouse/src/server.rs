@@ -8,6 +8,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
+use simnet::obs::LazyCounter;
 use simnet::topology::HostId;
 use simnet::trace::TraceKind;
 
@@ -52,6 +53,7 @@ pub struct ChServer {
     name: String,
     db: RwLock<ChDb>,
     auth: Authenticator,
+    requests: LazyCounter,
 }
 
 impl ChServer {
@@ -61,6 +63,7 @@ impl ChServer {
             name: name.into(),
             db: RwLock::new(db),
             auth: Authenticator::new(),
+            requests: LazyCounter::new(),
         })
     }
 
@@ -137,7 +140,9 @@ impl RpcService for ChServer {
     }
 
     fn dispatch(&self, ctx: &CallCtx<'_>, proc_id: u32, args: &Value) -> RpcResult<Value> {
-        ctx.world.metrics().inc("clearinghouse", "requests");
+        self.requests
+            .get(ctx.world.metrics(), "clearinghouse", "requests")
+            .inc();
         let _span = ctx
             .world
             .span_lazy(Some(ctx.host), TraceKind::NameService, || {
@@ -153,11 +158,9 @@ impl RpcService for ChServer {
                 let name = Self::parse_name(args)?;
                 let prop = PropertyId(args.u32_field("prop")?);
                 let p = self.db.read().lookup(&name, prop).map_err(ch_err)?;
-                ctx.world.trace(
-                    Some(ctx.host),
-                    TraceKind::NameService,
-                    format!("{}: lookup {} prop {}", self.name, name, prop.0),
-                );
+                ctx.world.trace(Some(ctx.host), TraceKind::NameService, || {
+                    format!("{}: lookup {} prop {}", self.name, name, prop.0)
+                });
                 Ok(property_to_value(&p))
             }
             PROC_ADD_ENTRY => {
@@ -229,17 +232,15 @@ impl RpcService for ChServer {
                     ctx.world
                         .charge_ms(ctx.world.costs.ch_disk * (examined - 1) as f64);
                 }
-                ctx.world.trace(
-                    Some(ctx.host),
-                    TraceKind::NameService,
+                ctx.world.trace(Some(ctx.host), TraceKind::NameService, || {
                     format!(
                         "{}: lookup run prop {} ({} of {} present)",
                         self.name,
                         prop.0,
                         values.len(),
                         names.len()
-                    ),
-                );
+                    )
+                });
                 Ok(Value::List(values))
             }
             PROC_SNAPSHOT => {

@@ -240,17 +240,20 @@ pub enum FetchTicket<'a, K: Hash + Eq = MetaKey> {
 
 /// RAII token held by the leader of an in-flight fetch. On drop — normal
 /// return, error, or panic — the flight is deregistered and all coalesced
-/// waiters are released.
+/// waiters are released. A disabled cache hands out an inert guard: it
+/// registered no flight, so nobody waits on it.
 pub struct FlightGuard<'a, K: Hash + Eq = MetaKey> {
     in_flight: &'a Mutex<HashMap<K, Arc<Flight>>>,
     key: K,
-    flight: Arc<Flight>,
+    flight: Option<Arc<Flight>>,
 }
 
 impl<K: Hash + Eq> Drop for FlightGuard<'_, K> {
     fn drop(&mut self) {
-        self.in_flight.lock().remove(&self.key);
-        self.flight.complete();
+        if let Some(flight) = self.flight.take() {
+            self.in_flight.lock().remove(&self.key);
+            flight.complete();
+        }
     }
 }
 
@@ -356,28 +359,30 @@ impl<K: Copy + Hash + Eq + Debug> HnsCache<K> {
     ///
     /// Also annotates the calling thread's current trace span with the
     /// operation's [`CacheOutcome`].
+    ///
+    /// A disabled cache does no cache work: every caller leads its own
+    /// fetch without entering the gate, and no statistic moves.
     pub fn lookup_or_fetch(&self, world: &World, key: &K) -> LookupOrFetch<'_, K> {
+        if self.mode() == CacheMode::Disabled {
+            world.cache_outcome(CacheOutcome::Miss);
+            return LookupOrFetch::Lead(FlightGuard {
+                in_flight: &self.in_flight,
+                key: *key,
+                flight: None,
+            });
+        }
         let mut waited = false;
         loop {
-            let disabled = self.mode() == CacheMode::Disabled;
-            let (lookup, counter, outcome) = if disabled {
-                (CacheLookup::Miss, Counter::Misses, CacheOutcome::Miss)
-            } else {
-                self.probe(world, key)
-            };
+            let (lookup, counter, outcome) = self.probe(world, key);
             let answer = match lookup {
                 CacheLookup::Hit {
                     value,
                     remaining_ttl_secs,
                 } => {
-                    // Gate on the tracer so the hot hit path never pays
-                    // for the Debug formatting when tracing is off.
-                    if !waited && world.tracer.is_enabled() {
-                        world.trace(
-                            None,
-                            simnet::trace::TraceKind::Cache,
-                            format!("hit {key:?}"),
-                        );
+                    if !waited {
+                        world.trace(None, simnet::trace::TraceKind::Cache, || {
+                            format!("hit {key:?}")
+                        });
                     }
                     LookupOrFetch::Hit {
                         value,
@@ -397,9 +402,7 @@ impl<K: Copy + Hash + Eq + Debug> HnsCache<K> {
                 },
             };
             if !waited {
-                if !disabled {
-                    self.map.count(counter);
-                }
+                self.map.count(counter);
                 world.cache_outcome(outcome);
             }
             return answer;
@@ -471,7 +474,7 @@ impl<K: Copy + Hash + Eq + Debug> HnsCache<K> {
         FetchTicket::Leader(FlightGuard {
             in_flight: &self.in_flight,
             key: *key,
-            flight,
+            flight: Some(flight),
         })
     }
 
@@ -943,6 +946,28 @@ mod tests {
             );
             assert_eq!(stats.negative_hits, 0);
         }
+    }
+
+    /// A disabled cache never enters the singleflight gate: two threads
+    /// holding their leads on one key at the same time both lead (were
+    /// the gate entered, the second would wait on the first's flight and
+    /// never reach the barrier), and no statistic moves.
+    #[test]
+    fn disabled_cache_leads_every_caller_without_the_gate() {
+        let world = simnet::World::paper();
+        let cache = HnsCache::new(CacheMode::Disabled);
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    let lead = cache.lookup_or_fetch(&world, &key());
+                    assert!(matches!(lead, LookupOrFetch::Lead(_)), "every caller leads");
+                    barrier.wait();
+                });
+            }
+        });
+        assert_eq!(cache.stats(), HnsCacheStats::default());
+        assert!(cache.in_flight.lock().is_empty());
     }
 
     #[test]

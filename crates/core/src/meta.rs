@@ -73,11 +73,18 @@ pub struct MetaBatch {
 /// Builds a meta key under `origin` from sanitized label parts. This is the
 /// same derivation [`MetaStore`] uses client-side, exposed as a free
 /// function so the server-side chaser can recompute keys without a store.
+///
+/// The key is assembled label by label: the sanitized parts, then the
+/// origin's labels. Like any name it may not exceed 255 bytes, and a key
+/// needs at least one part.
 pub fn meta_key_at(origin: &DomainName, parts: &[&str]) -> HnsResult<DomainName> {
-    let mut name = parts.iter().map(|p| label(p)).collect::<Vec<_>>().join(".");
-    name.push('.');
-    name.push_str(&origin.to_string());
-    DomainName::parse(&name).map_err(|e| HnsError::BadMetaRecord(e.to_string()))
+    if parts.is_empty() {
+        return Err(HnsError::BadMetaRecord("meta key without parts".into()));
+    }
+    let mut labels = Vec::with_capacity(parts.len() + origin.depth());
+    labels.extend(parts.iter().map(|p| label(p)));
+    labels.extend_from_slice(origin.labels());
+    DomainName::from_labels(labels).map_err(|e| HnsError::BadMetaRecord(e.to_string()))
 }
 
 /// The meta key for a context record under `origin`.

@@ -11,6 +11,7 @@
 
 use std::sync::Arc;
 
+use simnet::obs::LazyCounter;
 use simnet::topology::HostId;
 
 use hrpc::error::{RpcError, RpcResult};
@@ -43,12 +44,16 @@ pub trait Nsm: Send + Sync {
 /// Adapts an [`Nsm`] into an RPC service so it can be exported remotely.
 pub struct NsmService {
     inner: Arc<dyn Nsm>,
+    queries: LazyCounter,
 }
 
 impl NsmService {
     /// Wraps an NSM.
     pub fn new(inner: Arc<dyn Nsm>) -> Arc<Self> {
-        Arc::new(NsmService { inner })
+        Arc::new(NsmService {
+            inner,
+            queries: LazyCounter::new(),
+        })
     }
 }
 
@@ -65,12 +70,13 @@ impl RpcService for NsmService {
             .map_err(|e| RpcError::Service(e.to_string()))?;
         let hns_name = HnsName::new(context, args.str_field("name")?)
             .map_err(|e| RpcError::Service(e.to_string()))?;
-        ctx.world.metrics().inc("nsm", "queries");
-        ctx.world.trace(
-            Some(ctx.host),
-            simnet::trace::TraceKind::Nsm,
-            format!("{}: query for {}", self.inner.nsm_name(), hns_name),
-        );
+        self.queries
+            .get(ctx.world.metrics(), "nsm", "queries")
+            .inc();
+        ctx.world
+            .trace(Some(ctx.host), simnet::trace::TraceKind::Nsm, || {
+                format!("{}: query for {}", self.inner.nsm_name(), hns_name)
+            });
         let span = ctx
             .world
             .span_lazy(Some(ctx.host), simnet::trace::TraceKind::Nsm, || {
@@ -95,12 +101,17 @@ impl std::fmt::Debug for NsmService {
 pub struct NsmClient {
     net: Arc<RpcNet>,
     host: HostId,
+    client_calls: LazyCounter,
 }
 
 impl NsmClient {
     /// Creates a client for code running on `host`.
     pub fn new(net: Arc<RpcNet>, host: HostId) -> Self {
-        NsmClient { net, host }
+        NsmClient {
+            net,
+            host,
+            client_calls: LazyCounter::new(),
+        }
     }
 
     /// Calls the NSM designated by `binding` with the original HNS name
@@ -112,7 +123,9 @@ impl NsmClient {
         extra: Vec<(&str, Value)>,
     ) -> RpcResult<Value> {
         let world = self.net.world();
-        world.metrics().inc("nsm", "client_calls");
+        self.client_calls
+            .get(world.metrics(), "nsm", "client_calls")
+            .inc();
         if !world.topology.colocated(self.host, binding.host) {
             // Marshalling of the NSM interface arguments on a remote hop.
             world.charge_ms(world.costs.nsm_arg_marshal);

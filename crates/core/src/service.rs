@@ -370,14 +370,16 @@ impl Hns {
                     }
                     Err(other) => return Err(other),
                 };
-                let value = Value::List(fetched.value.iter().map(Value::str).collect());
-                self.cache.insert(
-                    self.world(),
-                    cache_key,
-                    &value,
-                    fetched.rrs,
-                    fetched.ttl_secs,
-                );
+                if self.cache.mode() != CacheMode::Disabled {
+                    let value = Value::List(fetched.value.iter().map(Value::str).collect());
+                    self.cache.insert(
+                        self.world(),
+                        cache_key,
+                        &value,
+                        fetched.rrs,
+                        fetched.ttl_secs,
+                    );
+                }
                 Ok(fetched)
             }
         }
@@ -396,13 +398,9 @@ impl Hns {
             .stale_served
             .get(world.metrics(), "faults", "stale_served")
             .inc();
-        if world.tracer.is_enabled() {
-            world.trace(
-                Some(self.host),
-                TraceKind::Hns,
-                format!("stale_served: {}", label()),
-            );
-        }
+        world.trace(Some(self.host), TraceKind::Hns, || {
+            format!("stale_served: {}", label())
+        });
     }
 
     /// Internal mapping helpers return `(parsed, remaining TTL secs)`;
@@ -571,14 +569,16 @@ impl Hns {
 
     /// Seeds one batched record set into both the cache and the overlay.
     fn stash(&self, overlay: &mut BatchOverlay, key: DomainName, fetched: Fetched<Vec<String>>) {
-        let value = Value::List(fetched.value.iter().map(Value::str).collect());
-        self.cache.insert(
-            self.world(),
-            MetaKey::meta(&key),
-            &value,
-            fetched.rrs,
-            fetched.ttl_secs,
-        );
+        if self.cache.mode() != CacheMode::Disabled {
+            let value = Value::List(fetched.value.iter().map(Value::str).collect());
+            self.cache.insert(
+                self.world(),
+                MetaKey::meta(&key),
+                &value,
+                fetched.rrs,
+                fetched.ttl_secs,
+            );
+        }
         overlay.insert(key, fetched);
     }
 
@@ -835,11 +835,9 @@ impl Hns {
             port: info.port,
             components: info.suite.components(info.port),
         };
-        self.world().trace(
-            Some(self.host),
-            TraceKind::Hns,
-            format!("FindNSM -> {nsm_name} at {host}:{}", info.port),
-        );
+        self.world().trace(Some(self.host), TraceKind::Hns, || {
+            format!("FindNSM -> {nsm_name} at {host}:{}", info.port)
+        });
         let min_ttl = ttl1.min(ttl2).min(ttl3).min(ttl4).min(ttl5).min(ttl6);
         Ok((binding, min_ttl))
     }

@@ -2,8 +2,10 @@
 
 use proptest::prelude::*;
 
+use bindns::name::DomainName;
 use hns_core::analysis::{Eq1Inputs, PreloadModel};
 use hns_core::cache::{CacheMode, HnsCache, MetaKey};
+use hns_core::meta::meta_key_at;
 use hns_core::name::{Context, HnsName, NameMapping};
 use hns_core::nsm::{NsmInfo, SuiteTag};
 use hns_core::query::QueryClass;
@@ -19,7 +21,59 @@ fn arb_suite() -> impl Strategy<Value = SuiteTag> {
     ]
 }
 
+/// The meta-key derivation as a dotted string: sanitize each part into a
+/// label (lowercase ASCII alphanumerics, `-` and `_`, anything else `-`,
+/// at most 60 characters, `x` when empty), join with dots, append the
+/// origin, and parse the result. [`meta_key_at`] must agree with it.
+fn joined_meta_key(origin: &DomainName, parts: &[&str]) -> Option<DomainName> {
+    let label = |s: &str| {
+        let mut out: String = s
+            .chars()
+            .map(|c| {
+                if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
+                    c.to_ascii_lowercase()
+                } else {
+                    '-'
+                }
+            })
+            .collect();
+        out.truncate(60);
+        if out.is_empty() {
+            out.push('x');
+        }
+        out
+    };
+    let mut name = parts.iter().map(|p| label(p)).collect::<Vec<_>>().join(".");
+    name.push('.');
+    name.push_str(&origin.to_string());
+    DomainName::parse(&name).ok()
+}
+
+#[test]
+fn meta_keys_over_255_bytes_are_rejected() {
+    let origin = DomainName::parse("hns").expect("origin");
+    let sixty = "a".repeat(60);
+    let sixty = sixty.as_str();
+    // Five 60-byte labels plus `hns` and six dots: 309 bytes.
+    assert!(meta_key_at(&origin, &[sixty; 5]).is_err());
+    // 4 x 60 + 7 + 3 bytes of labels and 5 dots: exactly 255 bytes.
+    let at_limit = meta_key_at(&origin, &[sixty, sixty, sixty, sixty, "bbbbbbb"])
+        .expect("255 bytes is a legal name");
+    assert_eq!(at_limit.wire_len(), 255);
+    assert!(meta_key_at(&origin, &[sixty, sixty, sixty, sixty, "bbbbbbbb"]).is_err());
+}
+
 proptest! {
+    #[test]
+    fn meta_key_at_matches_the_joined_derivation(
+        parts in proptest::collection::vec("[a-zA-Z0-9._ -éß日本!]{0,70}", 0..6),
+        origin in prop_oneof![Just("hns"), Just("meta.HNS.example")],
+    ) {
+        let origin = DomainName::parse(origin).expect("origin");
+        let parts: Vec<&str> = parts.iter().map(String::as_str).collect();
+        prop_assert_eq!(meta_key_at(&origin, &parts).ok(), joined_meta_key(&origin, &parts));
+    }
+
     #[test]
     fn hns_name_display_parse_roundtrip(
         ctx in "[a-zA-Z][a-zA-Z0-9 ._-]{0,20}",

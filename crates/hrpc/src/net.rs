@@ -439,11 +439,9 @@ impl RpcNet {
                         .get(self.world.metrics(), "faults", "partitioned_attempts")
                         .inc(),
                 }
-                self.world.trace(
-                    Some(caller),
-                    TraceKind::Rpc,
-                    format!("{} unreachable: {kind} (attempt {attempts})", binding.host),
-                );
+                self.world.trace(Some(caller), TraceKind::Rpc, || {
+                    format!("{} unreachable: {kind} (attempt {attempts})", binding.host)
+                });
                 if attempts >= fault_budget {
                     self.call_metrics
                         .fault_unreachable
@@ -479,11 +477,9 @@ impl RpcNet {
                     .datagrams_lost
                     .get(self.world.metrics(), "hrpc_net", "datagrams_lost")
                     .inc();
-                self.world.trace(
-                    Some(caller),
-                    TraceKind::Rpc,
-                    format!("request to {} lost (attempt {attempts})", binding.host),
-                );
+                self.world.trace(Some(caller), TraceKind::Rpc, || {
+                    format!("request to {} lost (attempt {attempts})", binding.host)
+                });
                 if attempts >= max_attempts {
                     break Err(RpcError::Timeout { attempts });
                 }
@@ -499,11 +495,9 @@ impl RpcNet {
                         .reply_cache_hits
                         .get(self.world.metrics(), "hrpc_net", "reply_cache_hits")
                         .inc();
-                    self.world.trace(
-                        Some(binding.host),
-                        TraceKind::Rpc,
-                        format!("duplicate xid {xid} answered from reply cache"),
-                    );
+                    self.world.trace(Some(binding.host), TraceKind::Rpc, || {
+                        format!("duplicate xid {xid} answered from reply cache")
+                    });
                     Ok(cached)
                 } else {
                     self.serve(caller, binding, proc_id, args)
@@ -523,20 +517,16 @@ impl RpcNet {
                     .datagrams_lost
                     .get(self.world.metrics(), "hrpc_net", "datagrams_lost")
                     .inc();
-                self.world.trace(
-                    Some(caller),
-                    TraceKind::Rpc,
-                    format!("reply from {} lost (attempt {attempts})", binding.host),
-                );
+                self.world.trace(Some(caller), TraceKind::Rpc, || {
+                    format!("reply from {} lost (attempt {attempts})", binding.host)
+                });
                 if attempts >= max_attempts {
                     break Err(RpcError::Timeout { attempts });
                 }
                 continue;
             }
 
-            self.world.trace(
-                Some(caller),
-                TraceKind::Rpc,
+            self.world.trace(Some(caller), TraceKind::Rpc, || {
                 format!(
                     "call {} -> {}:{} prog {} ({:?})",
                     caller,
@@ -544,8 +534,8 @@ impl RpcNet {
                     binding.port,
                     binding.program.0,
                     components.suite_kind()
-                ),
-            );
+                )
+            });
             break components
                 .data_rep
                 .encoded_len(&reply)

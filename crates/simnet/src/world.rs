@@ -264,10 +264,13 @@ impl World {
     }
 
     /// Records a trace event at the current instant, attached to the
-    /// calling thread's current span (if any).
-    pub fn trace(&self, host: Option<HostId>, kind: TraceKind, message: impl Into<String>) {
-        self.tracer
-            .record(self.now().as_us(), host.map(|h| h.0), kind, message.into());
+    /// calling thread's current span (if any). The message is built only
+    /// when tracing is enabled, so a disabled tracer costs one load.
+    pub fn trace(&self, host: Option<HostId>, kind: TraceKind, message: impl FnOnce() -> String) {
+        if self.tracer.is_enabled() {
+            self.tracer
+                .record(self.now().as_us(), host.map(|h| h.0), kind, message());
+        }
     }
 
     /// The unified metrics registry shared by every component in this
@@ -481,8 +484,25 @@ mod tests {
     fn trace_goes_through_tracer() {
         let w = World::paper();
         w.tracer.set_enabled(true);
-        w.trace(None, TraceKind::Info, "hello");
+        w.trace(None, TraceKind::Info, || "hello".into());
         assert_eq!(w.tracer.len(), 1);
+    }
+
+    #[test]
+    fn trace_builds_its_message_only_when_enabled() {
+        let w = World::paper();
+        let built = std::cell::Cell::new(0);
+        let message = || {
+            built.set(built.get() + 1);
+            "event".to_string()
+        };
+        w.trace(None, TraceKind::Info, message);
+        assert_eq!(built.get(), 0, "message built with tracing disabled");
+        assert_eq!(w.tracer.len(), 0);
+        w.tracer.set_enabled(true);
+        w.trace(None, TraceKind::Info, message);
+        assert_eq!(built.get(), 1, "message built exactly once");
+        assert_eq!(w.tracer.snapshot()[0].message, "event");
     }
 
     #[test]
@@ -493,7 +513,7 @@ mod tests {
             let span = w.span(Some(HostId(1)), TraceKind::Hns, "query");
             span.add_round_trips(2);
             w.charge_ms(5.0);
-            w.trace(None, TraceKind::Info, "inside");
+            w.trace(None, TraceKind::Info, || "inside".into());
         }
         let spans = w.tracer.spans();
         assert_eq!(spans.len(), 1);
