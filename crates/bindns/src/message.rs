@@ -49,8 +49,8 @@ impl Question {
 
     /// Serializes to a wire value.
     pub fn to_value(&self) -> Value {
-        Value::record(vec![
-            ("name", Value::str(self.name.to_string())),
+        Value::record([
+            ("name", Value::str(self.name.as_str())),
             ("rtype", Value::U32(self.rtype.code() as u32)),
         ])
     }
@@ -127,7 +127,7 @@ impl Answer {
     pub fn to_value(&self) -> NsResult<Value> {
         let records: NsResult<Vec<Value>> =
             self.records.iter().map(ResourceRecord::to_value).collect();
-        Ok(Value::record(vec![
+        Ok(Value::record([
             ("rcode", Value::U32(self.rcode as u32)),
             ("answers", Value::List(records?)),
         ]))
@@ -144,12 +144,13 @@ impl Answer {
             .field("answers")
             .and_then(Value::as_list)
             .map_err(|e| NsError::BadRecord(e.to_string()))?;
-        let records: NsResult<Vec<ResourceRecord>> =
-            list.iter().map(ResourceRecord::from_value).collect();
-        Ok(Answer {
-            rcode,
-            records: records?,
-        })
+        // A record set repeats one owner: parse it once and share it.
+        let mut records: Vec<ResourceRecord> = Vec::with_capacity(list.len());
+        for v in list {
+            let rr = ResourceRecord::from_value_after(v, records.last())?;
+            records.push(rr);
+        }
+        Ok(Answer { rcode, records })
     }
 
     /// Serializes through the hand-written fast path. All records must
@@ -158,7 +159,7 @@ impl Answer {
         let owner = self
             .records
             .first()
-            .map(|r| r.name.to_string())
+            .map(|r| r.name.as_str())
             .unwrap_or_default();
         let wire_records: Vec<WireRecord> = self
             .records
@@ -175,7 +176,7 @@ impl Answer {
             })
             .collect::<WireResult<_>>()?;
         let mut prefixed = vec![self.rcode as u8];
-        prefixed.extend(encode_rr_batch(&owner, &wire_records)?);
+        prefixed.extend(encode_rr_batch(owner, &wire_records)?);
         Ok(prefixed)
     }
 
@@ -231,7 +232,7 @@ impl MultiQuestion {
 
     /// Serializes to a wire value.
     pub fn to_value(&self) -> Value {
-        Value::record(vec![
+        Value::record([
             (
                 "questions",
                 Value::List(self.questions.iter().map(Question::to_value).collect()),
@@ -297,7 +298,7 @@ impl MultiAnswer {
                 set.iter().map(Answer::to_value).collect::<NsResult<_>>()?,
             ))
         };
-        Ok(Value::record(vec![
+        Ok(Value::record([
             ("answers", encode(&self.answers)?),
             ("additional", encode(&self.additional)?),
         ]))

@@ -1,7 +1,15 @@
 //! Domain names: case-insensitive dotted label sequences.
+//!
+//! A [`DomainName`] holds its canonical text — lowercase labels joined by
+//! dots, no trailing dot, `.` for the root — in one shared buffer, so a
+//! clone is a reference-count bump and rendering is one copy. Equality
+//! and hashing work on that text; ordering is label-wise (see its
+//! [`Ord`] impl).
 
-use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use crate::error::{NsError, NsResult};
 
@@ -10,18 +18,22 @@ pub const MAX_LABEL: usize = 63;
 /// Maximum total bytes in a name (labels plus separating dots).
 pub const MAX_NAME: usize = 255;
 
-/// A fully qualified domain name, stored as lowercase labels in
-/// left-to-right order (`fiji.cs.washington.edu` → `["fiji", "cs",
-/// "washington", "edu"]`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// Canonical text of the root name.
+const ROOT: &str = ".";
+
+/// A fully qualified domain name (`fiji.cs.washington.edu`), stored as
+/// its canonical lowercase dotted text.
+#[derive(Debug, Clone)]
 pub struct DomainName {
-    labels: Vec<String>,
+    text: Arc<str>,
 }
 
 impl DomainName {
     /// The root (empty) name.
     pub fn root() -> Self {
-        DomainName { labels: Vec::new() }
+        DomainName {
+            text: Arc::from(ROOT),
+        }
     }
 
     /// Parses a dotted name. A single trailing dot (absolute form) is
@@ -32,99 +44,95 @@ impl DomainName {
             return Ok(DomainName::root());
         }
         check_len(trimmed.len())?;
-        let mut labels = Vec::new();
         for label in trimmed.split('.') {
             if label.is_empty() {
                 return Err(NsError::BadName(format!("empty label in `{s}`")));
             }
             check_label(label)?;
-            labels.push(label.to_ascii_lowercase());
         }
-        Ok(DomainName { labels })
+        // Lowercase on the stack (the text fits in MAX_NAME bytes) so the
+        // shared buffer is the one allocation.
+        let mut buf = [0u8; MAX_NAME];
+        let lower = &mut buf[..trimmed.len()];
+        lower.copy_from_slice(trimmed.as_bytes());
+        lower.make_ascii_lowercase();
+        let text = std::str::from_utf8(lower)
+            .map_err(|_| NsError::BadName(format!("bad character in `{s}`")))?;
+        Ok(DomainName {
+            text: Arc::from(text),
+        })
     }
 
-    /// Builds a name from its labels, leftmost first, with the checks
-    /// [`DomainName::parse`] applies, without rendering and re-splitting
-    /// a dotted string. Labels are lowercased in place.
-    pub fn from_labels(mut labels: Vec<String>) -> NsResult<DomainName> {
-        for label in &mut labels {
-            if label.is_empty() {
-                return Err(NsError::BadName("empty label".into()));
-            }
-            check_label(label)?;
-            label.make_ascii_lowercase();
-        }
-        let dotted = labels.iter().map(String::len).sum::<usize>() + labels.len().saturating_sub(1);
-        check_len(dotted)?;
-        Ok(DomainName { labels })
+    /// The canonical text: lowercase labels joined by dots, `.` for the
+    /// root.
+    pub fn as_str(&self) -> &str {
+        &self.text
     }
 
-    /// The labels, leftmost (most specific) first.
-    pub fn labels(&self) -> &[String] {
-        &self.labels
+    /// The labels, leftmost (most specific) first; none for the root.
+    pub fn labels(&self) -> impl DoubleEndedIterator<Item = &str> {
+        self.text.split('.').filter(|label| !label.is_empty())
     }
 
     /// Number of labels.
     pub fn depth(&self) -> usize {
-        self.labels.len()
+        if self.is_root() {
+            0
+        } else {
+            self.text.bytes().filter(|&b| b == b'.').count() + 1
+        }
     }
 
     /// True for the root name.
     pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
+        &*self.text == ROOT
     }
 
     /// Returns true if `self` equals `zone` or lies beneath it
     /// (`fiji.cs.washington.edu` is within `cs.washington.edu`).
     pub fn is_within(&self, zone: &DomainName) -> bool {
-        if zone.labels.len() > self.labels.len() {
-            return false;
+        if zone.is_root() {
+            return true;
         }
-        let offset = self.labels.len() - zone.labels.len();
-        self.labels[offset..] == zone.labels[..]
+        let (name, zone) = (self.as_str(), zone.as_str());
+        match name.strip_suffix(zone) {
+            Some("") => true,
+            Some(above) => above.ends_with('.'),
+            None => false,
+        }
     }
 
     /// The name with the leftmost label removed.
     pub fn parent(&self) -> Option<DomainName> {
-        if self.labels.is_empty() {
-            None
-        } else {
-            Some(DomainName {
-                labels: self.labels[1..].to_vec(),
-            })
+        if self.is_root() {
+            return None;
         }
+        Some(match self.text.split_once('.') {
+            Some((_, rest)) => DomainName {
+                text: Arc::from(rest),
+            },
+            None => DomainName::root(),
+        })
     }
 
     /// Prepends a label, producing a child name.
     pub fn child(&self, label: &str) -> NsResult<DomainName> {
-        let mut name = format!("{label}.");
-        name.push_str(&self.to_string());
+        let mut name = String::with_capacity(label.len() + 1 + self.text.len());
+        name.push_str(label);
+        name.push('.');
+        name.push_str(&self.text);
         DomainName::parse(name.trim_end_matches('.'))
     }
 
-    /// Interns the canonical (lowercase, dotted) rendering of this name
-    /// in the global interner, returning its compact id. A thread-local
-    /// buffer keeps the warm path allocation-free.
+    /// Interns the canonical text of this name in the global interner,
+    /// returning its compact id.
     pub fn interned(&self) -> intern::NameId {
-        use std::fmt::Write as _;
-        thread_local! {
-            static BUF: std::cell::RefCell<String> = const { std::cell::RefCell::new(String::new()) };
-        }
-        BUF.with(|buf| {
-            let mut buf = buf.borrow_mut();
-            buf.clear();
-            let _ = write!(buf, "{self}");
-            intern::intern(&buf)
-        })
+        intern::intern(&self.text)
     }
 
-    /// Serialized length in bytes (labels plus dots).
+    /// Serialized length in bytes (labels plus dots; 1 for the root).
     pub fn wire_len(&self) -> usize {
-        if self.labels.is_empty() {
-            1
-        } else {
-            self.labels.iter().map(|l| l.len()).sum::<usize>() + self.labels.len() - 1
-        }
+        self.text.len()
     }
 }
 
@@ -153,27 +161,44 @@ fn check_label(label: &str) -> NsResult<()> {
     Ok(())
 }
 
-impl fmt::Display for DomainName {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let Some((first, rest)) = self.labels.split_first() else {
-            return f.write_str(".");
-        };
-        f.write_str(first)?;
-        for label in rest {
-            f.write_str(".")?;
-            f.write_str(label)?;
-        }
-        Ok(())
+impl PartialEq for DomainName {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.text, &other.text) || self.text == other.text
     }
 }
 
-/// A name borrows as its label slice, so ordered and hashed maps keyed
-/// by names can be probed with any suffix of another name's labels (an
-/// ancestor) without building it. Consistent with `Eq`, `Ord` and
-/// `Hash`: all three are derived from the one `labels` field.
-impl Borrow<[String]> for DomainName {
-    fn borrow(&self) -> &[String] {
-        &self.labels
+impl Eq for DomainName {}
+
+impl Hash for DomainName {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.text.hash(state);
+    }
+}
+
+impl PartialOrd for DomainName {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Label-wise order: names compare as their label sequences, leftmost
+/// label first, each label byte-wise, so a dot sorts below every label
+/// byte (`a` < `a.b` < `a-b`, although `-` sorts below `.` in ASCII).
+/// Zone transfers list records in this order.
+impl Ord for DomainName {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let rank = |b: u8| if b == b'.' { 0 } else { b };
+        let (a, b) = (self.text.as_bytes(), other.text.as_bytes());
+        match a.iter().zip(b).position(|(x, y)| x != y) {
+            Some(i) => rank(a[i]).cmp(&rank(b[i])),
+            None => a.len().cmp(&b.len()),
+        }
+    }
+}
+
+impl fmt::Display for DomainName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.text)
     }
 }
 
@@ -184,7 +209,6 @@ impl std::str::FromStr for DomainName {
         DomainName::parse(s)
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,7 +218,9 @@ mod tests {
         let n = DomainName::parse("fiji.cs.washington.edu").expect("parse");
         assert_eq!(n.depth(), 4);
         assert_eq!(n.to_string(), "fiji.cs.washington.edu");
-        assert_eq!(n.labels()[0], "fiji");
+        assert_eq!(n.labels().next(), Some("fiji"));
+        assert_eq!(n.labels().next_back(), Some("edu"));
+        assert_eq!(DomainName::root().labels().count(), 0);
     }
 
     #[test]
@@ -229,6 +255,11 @@ mod tests {
         assert!(host.is_within(&DomainName::root()));
         assert!(!host.is_within(&other));
         assert!(!zone.is_within(&host));
+        // A text suffix that does not start at a label boundary.
+        let ab = DomainName::parse("ab.cd").expect("parse");
+        assert!(!ab.is_within(&DomainName::parse("b.cd").expect("parse")));
+        assert!(DomainName::root().is_within(&DomainName::root()));
+        assert!(!DomainName::root().is_within(&zone));
     }
 
     #[test]
@@ -257,5 +288,28 @@ mod tests {
         let a = DomainName::parse("a.z").expect("parse");
         let b = DomainName::parse("b.z").expect("parse");
         assert!(a < b);
+        // Label-wise, not text-wise: `-` sorts below `.` in ASCII, yet
+        // the label `a` is a prefix of the label `a-b`.
+        let names = ["a", "a.b", "a-b", "a0", "ab"].map(|s| DomainName::parse(s).expect("parse"));
+        assert!(names.windows(2).all(|w| w[0] < w[1]), "{names:?}");
+        assert!(DomainName::root() < names[0]);
+    }
+
+    #[test]
+    fn clones_share_one_buffer() {
+        let n = DomainName::parse("Fiji.CS.washington.edu").expect("parse");
+        let copy = n.clone();
+        assert!(Arc::ptr_eq(&n.text, &copy.text));
+        assert_eq!(copy.as_str(), "fiji.cs.washington.edu");
+        assert_eq!(DomainName::root().as_str(), ".");
+        assert_eq!(DomainName::root().depth(), 0);
+        assert_eq!(
+            DomainName::parse("a.b").expect("parse").parent(),
+            Some(DomainName::parse("b").expect("parse"))
+        );
+        assert_eq!(
+            DomainName::parse("b").expect("parse").parent(),
+            Some(DomainName::root())
+        );
     }
 }

@@ -124,7 +124,7 @@ impl RData {
             }
             RData::Domain(name) => {
                 let mut b = vec![1u8];
-                b.extend_from_slice(name.to_string().as_bytes());
+                b.extend_from_slice(name.as_str().as_bytes());
                 b
             }
             RData::Text(s) => {
@@ -145,7 +145,7 @@ impl RData {
                 let mut b = vec![4u8];
                 b.extend_from_slice(&serial.to_be_bytes());
                 b.extend_from_slice(&default_ttl.to_be_bytes());
-                b.extend_from_slice(primary.to_string().as_bytes());
+                b.extend_from_slice(primary.as_str().as_bytes());
                 b
             }
         };
@@ -256,8 +256,8 @@ impl ResourceRecord {
 
     /// Serializes to a wire value (used by the HRPC interface to BIND).
     pub fn to_value(&self) -> NsResult<Value> {
-        Ok(Value::record(vec![
-            ("name", Value::str(self.name.to_string())),
+        Ok(Value::record([
+            ("name", Value::str(self.name.as_str())),
             ("rtype", Value::U32(self.rtype.code() as u32)),
             ("ttl", Value::U32(self.ttl)),
             ("rdata", Value::Bytes(self.rdata.to_bytes()?)),
@@ -266,10 +266,24 @@ impl ResourceRecord {
 
     /// Deserializes from a wire value.
     pub fn from_value(v: &Value) -> NsResult<ResourceRecord> {
+        ResourceRecord::from_value_after(v, None)
+    }
+
+    /// [`ResourceRecord::from_value`] for the next record of a set: when
+    /// the owner string is `prev`'s canonical name text, the owner is
+    /// shared with `prev` instead of parsed again.
+    pub(crate) fn from_value_after(
+        v: &Value,
+        prev: Option<&ResourceRecord>,
+    ) -> NsResult<ResourceRecord> {
         fn get<T>(r: Result<T, wire::WireError>) -> NsResult<T> {
             r.map_err(|e| NsError::BadRecord(e.to_string()))
         }
-        let name = DomainName::parse(get(v.str_field("name"))?)?;
+        let owner = get(v.str_field("name"))?;
+        let name = match prev {
+            Some(prev) if prev.name.as_str() == owner => prev.name.clone(),
+            _ => DomainName::parse(owner)?,
+        };
         let rtype = RType::from_code(get(v.u32_field("rtype"))? as u16)?;
         let ttl = get(v.u32_field("ttl"))?;
         let rdata_bytes = get(get(v.field("rdata"))?.as_bytes())?;

@@ -140,15 +140,15 @@ impl BindServer {
     /// delegation below the authoritative data produces a referral to the
     /// delegated servers rather than an answer.
     fn answer_one(db: &ZoneDb, question: &Question) -> Answer {
-        let delegation = db
-            .find_zone(&question.name)
-            .and_then(|zone| zone.find_delegation(&question.name));
-        match delegation {
+        let Some(zone) = db.find_zone(&question.name) else {
+            return Answer::err(Rcode::NotAuth);
+        };
+        match zone.find_delegation(&question.name) {
             Some(records) => Answer {
                 rcode: Rcode::Referral,
                 records,
             },
-            None => Answer::from_result(db.lookup(&question.name, question.rtype)),
+            None => Answer::from_result(zone.lookup(&question.name, question.rtype)),
         }
     }
 

@@ -80,7 +80,7 @@ impl UpdateOp {
             }
             UpdateOp::Delete { name, rtype } => Value::record(vec![
                 ("op", Value::U32(1)),
-                ("name", Value::str(name.to_string())),
+                ("name", Value::str(name.as_str())),
                 ("rtype", Value::U32(rtype.code() as u32)),
             ]),
             UpdateOp::Replace {
@@ -92,7 +92,7 @@ impl UpdateOp {
                     records.iter().map(ResourceRecord::to_value).collect();
                 Value::record(vec![
                     ("op", Value::U32(2)),
-                    ("name", Value::str(name.to_string())),
+                    ("name", Value::str(name.as_str())),
                     ("rtype", Value::U32(rtype.code() as u32)),
                     ("records", Value::List(recs?)),
                 ])

@@ -72,6 +72,10 @@ pub struct Zone {
     serial: u32,
     default_ttl: u32,
     records: BTreeMap<DomainName, Vec<Arc<RrBody>>>,
+    /// Zone cuts: the owners strictly below the origin that hold `NS`
+    /// records, keyed by their text so [`Zone::find_delegation`] can probe
+    /// the suffixes of a name's text without building any name.
+    cuts: BTreeMap<Box<str>, DomainName>,
     /// Content-dedup arena: one shared allocation per distinct body.
     arena: HashSet<Arc<RrBody>>,
     /// `(serial after the mutation, owner name touched)`, oldest first.
@@ -88,6 +92,7 @@ impl Zone {
             serial: 1,
             default_ttl,
             records: BTreeMap::new(),
+            cuts: BTreeMap::new(),
             arena: HashSet::new(),
             delta_log: VecDeque::new(),
             delta_floor: 1,
@@ -179,6 +184,9 @@ impl Zone {
             .get_mut(&rr.name)
             .expect("just created")
             .push(body);
+        if rr.rtype == RType::Ns && rr.name != self.origin {
+            self.cuts.insert(rr.name.as_str().into(), rr.name.clone());
+        }
         self.log_change(rr.name);
         Ok(())
     }
@@ -210,6 +218,9 @@ impl Zone {
             }
         }
         if removed > 0 {
+            if rtype == RType::Ns {
+                self.cuts.remove(name.as_str());
+            }
             self.prune(dropped);
             self.log_change(name.clone());
         }
@@ -301,15 +312,18 @@ impl Zone {
     /// holds `NS` records. Returns the cut's `NS` records plus any glue
     /// `A` records this zone holds for the named servers.
     pub fn find_delegation(&self, name: &DomainName) -> Option<Vec<ResourceRecord>> {
-        // Walk up from `name` by probing ever shorter label suffixes (no
-        // ancestor is built); the first cut found is the deepest.
-        let labels = name.labels();
-        let below_origin = labels.len().saturating_sub(self.origin.depth());
-        let (owner, set) = (0..below_origin).find_map(|skip| {
-            self.records
-                .get_key_value(&labels[skip..])
-                .filter(|(_, set)| set.iter().any(|b| b.rtype == RType::Ns))
-        })?;
+        // Walk up from `name` by probing ever shorter suffixes of its text
+        // (no ancestor is built); the first cut found is the deepest.
+        if self.cuts.is_empty() {
+            return None;
+        }
+        let below_origin = name.depth().saturating_sub(self.origin.depth());
+        let owner = std::iter::successors(Some(name.as_str()), |suffix| {
+            suffix.split_once('.').map(|(_, parent)| parent)
+        })
+        .take(below_origin)
+        .find_map(|suffix| self.cuts.get(suffix))?;
+        let set = self.records.get(owner)?;
         let mut referral: Vec<ResourceRecord> = set
             .iter()
             .filter(|b| b.rtype == RType::Ns)
@@ -622,6 +636,31 @@ mod tests {
             .expect("delegated");
         assert_eq!(outer[0].name, name("cs.washington.edu"));
         assert_eq!(outer.len(), 2);
+    }
+
+    #[test]
+    fn cut_index_follows_ns_removal_and_replacement() {
+        let mut z = Zone::new(name("washington.edu"), 3600);
+        let cut = name("cs.washington.edu");
+        let ns = |server: &str| ResourceRecord {
+            name: cut.clone(),
+            rtype: RType::Ns,
+            ttl: 3600,
+            rdata: RData::Domain(name(server)),
+        };
+        let below = name("fiji.cs.washington.edu");
+        z.add(ns("ns1.cs.washington.edu")).expect("ns");
+        z.add(ResourceRecord::txt(cut.clone(), 60, "not a cut by itself"))
+            .expect("txt");
+        assert!(z.find_delegation(&below).is_some());
+        z.replace(&cut, RType::Ns, vec![ns("ns2.cs.washington.edu")])
+            .expect("replace");
+        let referral = z.find_delegation(&below).expect("still a cut");
+        assert_eq!(referral, vec![ns("ns2.cs.washington.edu")]);
+        assert_eq!(z.remove(&cut, RType::Ns), 1);
+        assert!(z.find_delegation(&below).is_none(), "TXT alone is no cut");
+        z.add(ns("ns3.cs.washington.edu")).expect("ns again");
+        assert!(z.find_delegation(&below).is_some());
     }
 
     #[test]

@@ -1,8 +1,13 @@
 //! Property-based tests on the name-service invariants.
 
+use std::cmp::Ordering;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+
 use proptest::prelude::*;
 
-use bindns::name::DomainName;
+use bindns::error::NsError;
+use bindns::name::{DomainName, MAX_LABEL, MAX_NAME};
 use bindns::rr::{RData, RType, ResourceRecord};
 use bindns::update::UpdateOp;
 use bindns::zone::Zone;
@@ -16,6 +21,87 @@ fn arb_name_under(origin: &'static str) -> impl Strategy<Value = DomainName> {
     proptest::collection::vec(arb_label(), 1..3).prop_map(move |labels| {
         DomainName::parse(&format!("{}.{origin}", labels.join("."))).expect("valid")
     })
+}
+
+/// Reference model: the earlier representation of a name, its lowercase
+/// labels in a `Vec<String>` with derived `Eq`, `Ord` and `Hash`, and the
+/// parser that built it.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+struct ModelName(Vec<String>);
+
+impl ModelName {
+    fn parse(s: &str) -> Result<ModelName, NsError> {
+        let bad = |why: String| Err(NsError::BadName(why));
+        let trimmed = s.strip_suffix('.').unwrap_or(s);
+        if trimmed.is_empty() {
+            return Ok(ModelName(Vec::new()));
+        }
+        if trimmed.len() > MAX_NAME {
+            return bad(format!("name too long ({} bytes)", trimmed.len()));
+        }
+        let mut labels = Vec::new();
+        for label in trimmed.split('.') {
+            if label.is_empty() {
+                return bad(format!("empty label in `{s}`"));
+            }
+            if label.len() > MAX_LABEL {
+                return bad(format!("label `{label}` too long"));
+            }
+            if !label
+                .bytes()
+                .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_')
+            {
+                return bad(format!("bad character in label `{label}`"));
+            }
+            labels.push(label.to_ascii_lowercase());
+        }
+        Ok(ModelName(labels))
+    }
+}
+
+fn hash_of(value: &impl Hash) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    value.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// Pairs of names over a tiny alphabet, often related: independent, one
+/// beneath the other, equal up to case, or sharing a text prefix that
+/// continues with a `-`, a `_`, a digit or a dot (`a` vs `a-b` vs `a.b`).
+fn arb_close_pair() -> impl Strategy<Value = (String, String)> {
+    let labels = || proptest::collection::vec("[aAb0_-]{1,3}", 1..4);
+    (labels(), labels(), 0u8..5).prop_map(|(a, b, relation)| {
+        let joined = a.join(".");
+        let other = match relation {
+            0 => b.join("."),
+            1 => format!("{}.{joined}", b.join(".")),
+            2 => joined.to_ascii_uppercase(),
+            3 => format!("{}{}", a[0], b.join(".")),
+            _ => format!("{}.{}", a[0], b.join(".")),
+        };
+        (joined, other)
+    })
+}
+
+/// Dotted inputs around every parse limit: empty labels, labels around
+/// 63 bytes, names around 255 bytes, bad bytes, trailing dots, the root.
+fn arb_parse_input() -> impl Strategy<Value = String> {
+    let label = prop_oneof![
+        "[a-zA-Z0-9_-]{0,8}",
+        "[a-zA-Z0-9_-]{1,8}",
+        "[a-z]{60,66}",
+        "[a-z]{1,4}[ !é/][a-z]{0,4}",
+    ];
+    let dotted = (proptest::collection::vec(label, 0..6), "[.]{0,2}")
+        .prop_map(|(labels, dots)| labels.join(".") + &dots)
+        .boxed();
+    prop_oneof![
+        dotted.clone(),
+        dotted,
+        (1usize..6).prop_map(|n| vec!["a".repeat(MAX_LABEL); n].join(".")),
+        (240usize..270).prop_map(|n| "ab.".repeat(n / 3) + &"c".repeat(n % 3 + 1)),
+        "[ -~]{0,40}",
+    ]
 }
 
 fn arb_rdata() -> impl Strategy<Value = RData> {
@@ -158,5 +244,37 @@ proptest! {
     #[test]
     fn domain_parse_never_panics(s in "[ -~]{0,80}") {
         let _ = DomainName::parse(&s);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn name_order_equality_and_hash_match_the_label_model(pair in arb_close_pair()) {
+        let (a, b) = pair;
+        let (na, nb) = (DomainName::parse(&a).expect("valid"), DomainName::parse(&b).expect("valid"));
+        let (ma, mb) = (ModelName::parse(&a).expect("valid"), ModelName::parse(&b).expect("valid"));
+        prop_assert_eq!(na.cmp(&nb), ma.cmp(&mb), "{} vs {}", a, b);
+        prop_assert_eq!(na == nb, ma == mb);
+        if na == nb {
+            prop_assert_eq!(hash_of(&na), hash_of(&nb));
+        }
+        prop_assert_eq!(na.cmp(&na), Ordering::Equal);
+        prop_assert_eq!(na.labels().collect::<Vec<_>>(), ma.0.iter().map(String::as_str).collect::<Vec<_>>());
+        prop_assert_eq!(na.depth(), ma.0.len());
+        prop_assert_eq!(na.is_within(&nb), ma.0.ends_with(&mb.0));
+        prop_assert_eq!(nb.is_within(&na), mb.0.ends_with(&ma.0));
+    }
+
+    #[test]
+    fn name_parse_accepts_and_rejects_like_the_label_model(s in arb_parse_input()) {
+        match (DomainName::parse(&s), ModelName::parse(&s)) {
+            (Ok(name), Ok(model)) => {
+                prop_assert_eq!(name.to_string(), if model.0.is_empty() { ".".to_string() } else { model.0.join(".") });
+            }
+            (Err(err), Err(model_err)) => prop_assert_eq!(err, model_err, "{:?}", s),
+            (got, want) => prop_assert!(false, "{:?}: {:?} but the model gives {:?}", s, got, want),
+        }
     }
 }

@@ -49,7 +49,9 @@ impl MetaChaser {
     /// Decodes a meta record set's payload strings, or `None` if the set
     /// is malformed (which ends the chase for that link).
     fn payloads(records: &[ResourceRecord]) -> Option<Vec<String>> {
-        records_to_fetched(records).ok().map(|f| f.value)
+        records_to_fetched(records.iter().cloned())
+            .ok()
+            .map(|f| f.value)
     }
 
     /// Looks up one meta key in the zone database, returning its records.

@@ -198,11 +198,11 @@ impl RpcService for AgentService {
         let (qc, name) = parse_findnsm_args(args)?;
         let nsm_binding = self.hns.find_nsm(&qc, &name).map_err(hns_err)?;
         // Forward any query-specific arguments besides the standard three.
-        let extra: Vec<(&str, Value)> = args
+        let extra = args
             .as_struct()?
             .iter()
             .filter(|(k, _)| k != "query_class" && k != "context" && k != "name")
-            .map(|(k, v)| (k.as_str(), v.clone()))
+            .cloned()
             .collect();
         let nsm_client = NsmClient::new(Arc::clone(self.hns.net()), self.host);
         nsm_client.call(&nsm_binding, &name, extra)
@@ -235,7 +235,7 @@ impl AgentClient {
         &self,
         qc: &QueryClass,
         name: &HnsName,
-        extra: Vec<(&str, Value)>,
+        extra: Vec<(&'static str, Value)>,
     ) -> HnsResult<Value> {
         let world = self.net.world();
         if !world.topology.colocated(self.host, self.binding.host) {

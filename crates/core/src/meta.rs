@@ -74,17 +74,22 @@ pub struct MetaBatch {
 /// same derivation [`MetaStore`] uses client-side, exposed as a free
 /// function so the server-side chaser can recompute keys without a store.
 ///
-/// The key is assembled label by label: the sanitized parts, then the
-/// origin's labels. Like any name it may not exceed 255 bytes, and a key
-/// needs at least one part.
+/// The key's text is assembled once: the sanitized parts, then the
+/// origin. Like any name it may not exceed 255 bytes, and a key needs at
+/// least one part.
 pub fn meta_key_at(origin: &DomainName, parts: &[&str]) -> HnsResult<DomainName> {
     if parts.is_empty() {
         return Err(HnsError::BadMetaRecord("meta key without parts".into()));
     }
-    let mut labels = Vec::with_capacity(parts.len() + origin.depth());
-    labels.extend(parts.iter().map(|p| label(p)));
-    labels.extend_from_slice(origin.labels());
-    DomainName::from_labels(labels).map_err(|e| HnsError::BadMetaRecord(e.to_string()))
+    let mut key = String::with_capacity(parts.len() * (MAX_PART + 1) + origin.wire_len());
+    for part in parts {
+        push_label(&mut key, part);
+        key.push('.');
+    }
+    if !origin.is_root() {
+        key.push_str(origin.as_str());
+    }
+    DomainName::parse(&key).map_err(|e| HnsError::BadMetaRecord(e.to_string()))
 }
 
 /// The meta key for a context record under `origin`.
@@ -107,14 +112,18 @@ pub fn nsm_info_key_at(origin: &DomainName, nsm_name: &str) -> HnsResult<DomainN
 }
 
 /// Decodes a meta record set's UNSPEC payloads into a [`Fetched`] value.
-pub fn records_to_fetched(records: &[ResourceRecord]) -> HnsResult<Fetched<Vec<String>>> {
-    let ttl_secs = records.iter().map(|r| r.ttl).min().unwrap_or(META_TTL);
-    let rrs = records.len();
-    let mut payloads = Vec::with_capacity(rrs);
+/// The records are consumed: each payload's bytes become its string.
+pub fn records_to_fetched(
+    records: impl IntoIterator<Item = ResourceRecord>,
+) -> HnsResult<Fetched<Vec<String>>> {
+    let records = records.into_iter();
+    let mut payloads = Vec::with_capacity(records.size_hint().0);
+    let mut min_ttl = u32::MAX;
     for r in records {
-        match &r.rdata {
+        min_ttl = min_ttl.min(r.ttl);
+        match r.rdata {
             RData::Opaque(bytes) => payloads.push(
-                String::from_utf8(bytes.clone())
+                String::from_utf8(bytes)
                     .map_err(|_| HnsError::BadMetaRecord("non-UTF-8 payload".into()))?,
             ),
             other => {
@@ -124,30 +133,32 @@ pub fn records_to_fetched(records: &[ResourceRecord]) -> HnsResult<Fetched<Vec<S
             }
         }
     }
+    let rrs = payloads.len();
     Ok(Fetched {
         value: payloads,
         rrs,
-        ttl_secs,
+        ttl_secs: if rrs == 0 { META_TTL } else { min_ttl },
     })
 }
 
-/// Sanitizes an arbitrary identifier into a safe domain label.
-fn label(s: &str) -> String {
-    let mut out: String = s
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                c.to_ascii_lowercase()
-            } else {
-                '-'
-            }
-        })
-        .collect();
-    out.truncate(60);
-    if out.is_empty() {
+/// Longest label a meta-key part is cut to.
+const MAX_PART: usize = 60;
+
+/// Appends `s` sanitized into a safe domain label: lowercase ASCII
+/// letters, digits, `-` and `_`, every other character as `-`, at most
+/// [`MAX_PART`] of them, and `x` for an empty part.
+fn push_label(out: &mut String, s: &str) {
+    let start = out.len();
+    out.extend(s.chars().take(MAX_PART).map(|c| {
+        if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
+            c.to_ascii_lowercase()
+        } else {
+            '-'
+        }
+    }));
+    if out.len() == start {
         out.push('x');
     }
-    out
 }
 
 impl MetaStore {
@@ -217,7 +228,7 @@ impl MetaStore {
             .resolver
             .query(name, RType::Unspec)
             .map_err(HnsError::Rpc)?;
-        records_to_fetched(&records)
+        records_to_fetched(records)
     }
 
     /// Fetches `primary` plus whatever additional sets the meta server's
@@ -236,10 +247,11 @@ impl MetaStore {
             .map_err(HnsError::Rpc)?;
         let answer = multi
             .answers
-            .first()
+            .into_iter()
+            .next()
             .ok_or_else(|| HnsError::BadMetaRecord("mquery reply missing answer".into()))?;
         let primary_set = match answer.rcode {
-            Rcode::Ok => Some(records_to_fetched(&answer.records)?),
+            Rcode::Ok => Some(records_to_fetched(answer.records)?),
             Rcode::NameError | Rcode::NoData => None,
             other => {
                 return Err(HnsError::Rpc(RpcError::Service(format!(
@@ -248,12 +260,14 @@ impl MetaStore {
             }
         };
         let mut additional = Vec::with_capacity(multi.additional.len());
-        for set in &multi.additional {
-            if set.rcode != Rcode::Ok || set.records.is_empty() {
+        for set in multi.additional {
+            if set.rcode != Rcode::Ok {
                 continue;
             }
-            let owner = set.records[0].name.clone();
-            additional.push((owner, records_to_fetched(&set.records)?));
+            let Some(owner) = set.records.first().map(|r| r.name.clone()) else {
+                continue;
+            };
+            additional.push((owner, records_to_fetched(set.records)?));
         }
         Ok(MetaBatch {
             primary: primary_set,
@@ -502,8 +516,10 @@ mod tests {
         meta.register_context(&context, "BIND", &NameMapping::Identity)
             .expect("register");
         assert!(meta.lookup_context(&context).is_ok());
-        assert_eq!(label(""), "x");
-        assert_eq!(label("A b.C"), "a-b-c");
+        let origin = DomainName::parse("hns").expect("origin");
+        let key = |part| meta_key_at(&origin, &[part]).expect("key").to_string();
+        assert_eq!(key(""), "x.hns");
+        assert_eq!(key("A b.C"), "a-b-c.hns");
     }
 
     #[test]

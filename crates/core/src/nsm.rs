@@ -9,6 +9,7 @@
 //! "The NSMs are neither HNS nor application code per se. Rather, they are
 //! code managed by the HNS and shared by the applications."
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use simnet::obs::LazyCounter;
@@ -115,12 +116,13 @@ impl NsmClient {
     }
 
     /// Calls the NSM designated by `binding` with the original HNS name
-    /// and any query-specific arguments.
+    /// and any query-specific arguments (static labels, or labels decoded
+    /// from a request being forwarded).
     pub fn call(
         &self,
         binding: &HrpcBinding,
         hns_name: &HnsName,
-        extra: Vec<(&str, Value)>,
+        extra: Vec<(Cow<'static, str>, Value)>,
     ) -> RpcResult<Value> {
         let world = self.net.world();
         self.client_calls
@@ -130,13 +132,12 @@ impl NsmClient {
             // Marshalling of the NSM interface arguments on a remote hop.
             world.charge_ms(world.costs.nsm_arg_marshal);
         }
-        let mut fields = vec![
-            ("context", Value::str(hns_name.context.as_str())),
-            ("name", Value::str(hns_name.individual.clone())),
-        ];
+        let mut fields = Vec::with_capacity(2 + extra.len());
+        fields.push(("context".into(), Value::str(hns_name.context.as_str())));
+        fields.push(("name".into(), Value::str(hns_name.individual.clone())));
         fields.extend(extra);
         self.net
-            .call(self.host, binding, NSM_PROC_QUERY, &Value::record(fields))
+            .call(self.host, binding, NSM_PROC_QUERY, &Value::Struct(fields))
     }
 }
 

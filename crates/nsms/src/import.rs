@@ -69,8 +69,8 @@ impl Importer {
         // Call the designated binding NSM with the original HNS name.
         let extra = || {
             vec![
-                ("service", Value::str(service_name)),
-                ("program", Value::U32(program.0)),
+                ("service".into(), Value::str(service_name)),
+                ("program".into(), Value::U32(program.0)),
             ]
         };
         let reply = match self.nsm.call(&nsm_binding, host_name, extra()) {

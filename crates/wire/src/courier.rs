@@ -260,7 +260,7 @@ impl<'a> Cursor<'a> {
                 for _ in 0..n {
                     let name = self.read_string()?;
                     let v = self.read_value()?;
-                    fields.push((name, v));
+                    fields.push((name.into(), v));
                 }
                 Ok(Value::Struct(fields))
             }

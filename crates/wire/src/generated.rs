@@ -175,7 +175,7 @@ impl NodeCodec for StructNode {
                 return Err(WireError::FieldMissing(name.clone()));
             }
             let (v, used) = codec.unmarshal(&bytes[pos..])?;
-            out.push((wire_name, v));
+            out.push((wire_name.into(), v));
             pos += used;
         }
         Ok((Value::Struct(out), pos))

@@ -5,6 +5,7 @@
 //! returns results "in a format that is standard for that query class"
 //! regardless of which underlying name service produced them.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::error::{WireError, WireResult};
@@ -28,8 +29,10 @@ pub enum Value {
     Bytes(Vec<u8>),
     /// Homogeneously-intended sequence (not enforced).
     List(Vec<Value>),
-    /// Ordered named fields.
-    Struct(Vec<(String, Value)>),
+    /// Ordered named fields. Labels built in code are static and borrowed
+    /// (see [`Value::record`]); decoders produce owned labels. The two
+    /// compare, encode and measure alike.
+    Struct(Vec<(Cow<'static, str>, Value)>),
     /// Optional value.
     Opt(Option<Box<Value>>),
 }
@@ -40,12 +43,13 @@ impl Value {
         Value::Str(s.into())
     }
 
-    /// Builds a struct from `(name, value)` pairs.
-    pub fn record(fields: Vec<(&str, Value)>) -> Value {
+    /// Builds a struct from `(name, value)` pairs. The static labels are
+    /// borrowed, not copied.
+    pub fn record(fields: impl IntoIterator<Item = (&'static str, Value)>) -> Value {
         Value::Struct(
             fields
                 .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
+                .map(|(k, v)| (Cow::Borrowed(k), v))
                 .collect(),
         )
     }
@@ -133,7 +137,7 @@ impl Value {
     }
 
     /// Extracts struct fields.
-    pub fn as_struct(&self) -> WireResult<&[(String, Value)]> {
+    pub fn as_struct(&self) -> WireResult<&[(Cow<'static, str>, Value)]> {
         match self {
             Value::Struct(fields) => Ok(fields),
             other => Err(WireError::TypeMismatch {

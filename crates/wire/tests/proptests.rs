@@ -27,6 +27,7 @@ fn arb_value() -> impl Strategy<Value = Value> {
                     fields
                         .into_iter()
                         .filter(|(k, _)| seen.insert(k.clone()))
+                        .map(|(k, v)| (k.into(), v))
                         .collect(),
                 )
             }),
@@ -134,6 +135,55 @@ proptest! {
         for fmt in [WireFormat::Xdr, WireFormat::Courier] {
             let bytes = fmt.encode(&v).expect("encode");
             prop_assert_eq!(fmt.encoded_len(&v).expect("len"), bytes.len(), "{}", fmt);
+        }
+    }
+}
+
+/// Struct labels built in code are borrowed statics; decoded labels are
+/// owned strings. A value must compare, measure and encode the same
+/// whichever kind its labels are.
+#[test]
+fn borrowed_and_decoded_struct_labels_are_interchangeable() {
+    use std::borrow::Cow;
+
+    let built = Value::record([
+        ("name", Value::str("info.bind-nsm.hns")),
+        ("ttl", Value::U32(600)),
+        (
+            "binding",
+            Value::record([("host", Value::U32(7)), ("port", Value::U32(2049))]),
+        ),
+    ]);
+    let labels_owned = |v: &Value| match v {
+        Value::Struct(fields) => fields.iter().all(|(k, _)| matches!(k, Cow::Owned(_))),
+        _ => false,
+    };
+    assert!(!labels_owned(&built));
+
+    let compiled = Compiled::new(TypeDesc::describe(&built));
+    let generated = compiled
+        .unmarshal(&compiled.marshal(&built).expect("marshal"))
+        .expect("unmarshal");
+    let xdr = WireFormat::Xdr
+        .decode(&WireFormat::Xdr.encode(&built).expect("encode"))
+        .expect("decode");
+    let courier = WireFormat::Courier
+        .decode(&WireFormat::Courier.encode(&built).expect("encode"))
+        .expect("decode");
+    for decoded in [&xdr, &courier, &generated] {
+        assert!(labels_owned(decoded), "{decoded}");
+        assert_eq!(decoded, &built);
+        for fmt in [WireFormat::Xdr, WireFormat::Courier] {
+            assert_eq!(
+                fmt.encoded_len(decoded).expect("len"),
+                fmt.encoded_len(&built).expect("len"),
+                "{fmt}"
+            );
+            assert_eq!(
+                fmt.encode(decoded).expect("encode"),
+                fmt.encode(&built).expect("encode"),
+                "{fmt}"
+            );
         }
     }
 }

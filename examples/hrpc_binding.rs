@@ -58,8 +58,8 @@ fn main() {
             &nsm_binding,
             &hns_name,
             vec![
-                ("service", Value::str(DESIRED_SERVICE)),
-                ("program", Value::U32(DESIRED_SERVICE_PROGRAM.0)),
+                ("service".into(), Value::str(DESIRED_SERVICE)),
+                ("program".into(), Value::U32(DESIRED_SERVICE_PROGRAM.0)),
             ],
         )
     });

@@ -61,7 +61,7 @@ fn main() {
             .call(
                 &nsm_binding,
                 volume,
-                vec![("path", hns_repro::wire::Value::str(*path))],
+                vec![("path".into(), hns_repro::wire::Value::str(*path))],
             )
             .expect("file NSM");
         println!(
