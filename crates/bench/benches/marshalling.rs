@@ -15,7 +15,7 @@ fn rr_message(n: usize) -> Value {
             Value::record(vec![
                 ("rtype", Value::U32(1)),
                 ("ttl", Value::U32(86_400)),
-                ("rdata", Value::Bytes(vec![i as u8; 32])),
+                ("rdata", Value::bytes(vec![i as u8; 32])),
             ])
         })
         .collect();

@@ -40,7 +40,7 @@ pub fn transfer_zone(
     binding: &HrpcBinding,
     origin: &DomainName,
 ) -> RpcResult<ZoneTransfer> {
-    let args = Value::record(vec![("origin", Value::str(origin.to_string()))]);
+    let args = Value::record(vec![("origin", Value::Str(origin.shared_text()))]);
     let reply = net.call(caller, binding, PROC_AXFR, &args)?;
     let serial = reply.u32_field("serial")?;
     let size_bytes = reply.u32_field("size_bytes")? as usize;
@@ -107,7 +107,7 @@ pub fn transfer_zone_incremental(
     from_serial: u32,
 ) -> RpcResult<IncrementalTransfer> {
     let args = Value::record(vec![
-        ("origin", Value::str(origin.to_string())),
+        ("origin", Value::Str(origin.shared_text())),
         ("from_serial", Value::U32(from_serial)),
     ]);
     let reply = net.call(caller, binding, PROC_IXFR, &args)?;
@@ -157,7 +157,7 @@ pub fn read_serial(
     binding: &HrpcBinding,
     origin: &DomainName,
 ) -> RpcResult<u32> {
-    let args = Value::record(vec![("origin", Value::str(origin.to_string()))]);
+    let args = Value::record(vec![("origin", Value::Str(origin.shared_text()))]);
     Ok(net.call(caller, binding, PROC_SERIAL, &args)?.as_u32()?)
 }
 

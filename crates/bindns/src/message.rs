@@ -12,7 +12,7 @@ use wire::{Value, WireResult};
 
 use crate::error::{NsError, NsResult, Rcode};
 use crate::name::DomainName;
-use crate::rr::{RData, RType, ResourceRecord};
+use crate::rr::{RData, RType, RecordView, ResourceRecord};
 
 /// Procedure: look up records.
 pub const PROC_QUERY: u32 = 1;
@@ -47,18 +47,20 @@ impl Question {
         Question { name, rtype }
     }
 
-    /// Serializes to a wire value.
+    /// Serializes to a wire value, sharing the name's text.
     pub fn to_value(&self) -> Value {
         Value::record([
-            ("name", Value::str(self.name.as_str())),
+            ("name", Value::Str(self.name.shared_text())),
             ("rtype", Value::U32(self.rtype.code() as u32)),
         ])
     }
 
-    /// Deserializes from a wire value.
+    /// Deserializes from a wire value. A canonical name's text is taken
+    /// over, not copied ([`DomainName::adopt`]).
     pub fn from_value(v: &Value) -> NsResult<Question> {
-        let name = DomainName::parse(
-            v.str_field("name")
+        let name = DomainName::adopt(
+            v.field("name")
+                .and_then(Value::as_shared_str)
                 .map_err(|e| NsError::BadName(e.to_string()))?,
         )?;
         let rtype = RType::from_code(
@@ -111,51 +113,46 @@ impl Answer {
 
     /// Converts back into a lookup result for `question`.
     pub fn into_result(self, question: &Question) -> NsResult<Vec<ResourceRecord>> {
-        match self.rcode {
-            Rcode::Ok => Ok(self.records),
-            Rcode::NameError => Err(NsError::NameError(question.name.to_string())),
-            Rcode::NoData => Err(NsError::NoData(question.name.to_string())),
-            Rcode::NotAuth => Err(NsError::NotAuthoritative(question.name.to_string())),
-            Rcode::Refused => Err(NsError::UpdatesDisabled),
-            Rcode::FormErr => Err(NsError::BadRecord("server rejected request".into())),
-            // Callers that do not chase referrals treat one as "not here".
-            Rcode::Referral => Err(NsError::NotAuthoritative(question.name.to_string())),
-        }
+        rcode_result(self.rcode, question).map(|()| self.records)
     }
 
     /// Serializes to a wire value (the HRPC path).
     pub fn to_value(&self) -> NsResult<Value> {
-        let records: NsResult<Vec<Value>> =
-            self.records.iter().map(ResourceRecord::to_value).collect();
+        let mut records = Vec::with_capacity(self.records.len());
+        for r in &self.records {
+            records.push(r.to_value()?);
+        }
         Ok(Value::record([
             ("rcode", Value::U32(self.rcode as u32)),
-            ("answers", Value::List(records?)),
+            ("answers", Value::List(records)),
         ]))
     }
 
     /// Deserializes from a wire value.
     pub fn from_value(v: &Value) -> NsResult<Answer> {
-        let code = v
-            .u32_field("rcode")
-            .map_err(|e| NsError::BadRecord(e.to_string()))?;
-        let rcode =
-            Rcode::from_u32(code).ok_or_else(|| NsError::BadRecord(format!("bad rcode {code}")))?;
-        let list = v
-            .field("answers")
-            .and_then(Value::as_list)
-            .map_err(|e| NsError::BadRecord(e.to_string()))?;
-        // A record set repeats one owner: parse it once and share it.
-        let mut records: Vec<ResourceRecord> = Vec::with_capacity(list.len());
-        for v in list {
-            let rr = ResourceRecord::from_value_after(v, records.last())?;
-            records.push(rr);
+        let view = AnswerView::read(v)?;
+        Ok(Answer {
+            rcode: view.rcode,
+            records: view.records().into_records()?,
+        })
+    }
+
+    /// Checks that the answer fits the hand-written fast path, failing
+    /// exactly as [`Answer::to_fast_bytes`] would, by lengths alone.
+    pub fn check_fast(&self) -> WireResult<()> {
+        if self.records.iter().any(|r| r.rdata.checked_len().is_err()) {
+            return Err(wire::WireError::Oversize(0));
         }
-        Ok(Answer { rcode, records })
+        if self.records.len() > u16::MAX as usize {
+            return Err(wire::WireError::Oversize(self.records.len()));
+        }
+        Ok(())
     }
 
     /// Serializes through the hand-written fast path. All records must
     /// share one owner name (true for every standard lookup reply).
     pub fn to_fast_bytes(&self) -> WireResult<Vec<u8>> {
+        self.check_fast()?;
         let owner = self
             .records
             .first()
@@ -171,7 +168,8 @@ impl Answer {
                     rdata: r
                         .rdata
                         .to_bytes()
-                        .map_err(|_| wire::WireError::Oversize(0))?,
+                        .map_err(|_| wire::WireError::Oversize(0))?
+                        .to_vec(),
                 })
             })
             .collect::<WireResult<_>>()?;
@@ -209,6 +207,105 @@ impl Answer {
             rcode,
             records: records?,
         })
+    }
+}
+
+/// The lookup result `rcode` stands for, for `question`: `Ok` for
+/// [`Rcode::Ok`], the matching error otherwise.
+pub(crate) fn rcode_result(rcode: Rcode, question: &Question) -> NsResult<()> {
+    match rcode {
+        Rcode::Ok => Ok(()),
+        Rcode::NameError => Err(NsError::NameError(question.name.to_string())),
+        Rcode::NoData => Err(NsError::NoData(question.name.to_string())),
+        Rcode::NotAuth => Err(NsError::NotAuthoritative(question.name.to_string())),
+        Rcode::Refused => Err(NsError::UpdatesDisabled),
+        Rcode::FormErr => Err(NsError::BadRecord("server rejected request".into())),
+        // Callers that do not chase referrals treat one as "not here".
+        Rcode::Referral => Err(NsError::NotAuthoritative(question.name.to_string())),
+    }
+}
+
+/// A lookup answer read in place from its wire value: the outcome code
+/// and the record values, each read on demand as a [`RecordView`]. It
+/// backs [`Answer::from_value`], and lets a reader take what it needs
+/// from the reply without building records.
+#[derive(Debug, Clone, Copy)]
+pub struct AnswerView<'a> {
+    /// Outcome code.
+    pub rcode: Rcode,
+    records: &'a [Value],
+}
+
+impl<'a> AnswerView<'a> {
+    /// Reads the outcome code and the record list, with the checks and
+    /// errors of [`Answer::from_value`]; the records are checked as they
+    /// are read.
+    pub fn read(v: &'a Value) -> NsResult<AnswerView<'a>> {
+        let code = v
+            .u32_field("rcode")
+            .map_err(|e| NsError::BadRecord(e.to_string()))?;
+        let rcode =
+            Rcode::from_u32(code).ok_or_else(|| NsError::BadRecord(format!("bad rcode {code}")))?;
+        let records = v
+            .field("answers")
+            .and_then(Value::as_list)
+            .map_err(|e| NsError::BadRecord(e.to_string()))?;
+        Ok(AnswerView { rcode, records })
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// True when the answer carries no records.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// The records in order. An owner that repeats the previous record's
+    /// text is not checked again.
+    pub fn records(&self) -> RecordViews<'a> {
+        RecordViews {
+            items: self.records.iter(),
+            prev: None,
+        }
+    }
+}
+
+/// Iterator over an [`AnswerView`]'s records.
+#[derive(Debug, Clone)]
+pub struct RecordViews<'a> {
+    items: std::slice::Iter<'a, Value>,
+    prev: Option<&'a str>,
+}
+
+impl RecordViews<'_> {
+    /// Builds the remaining records. A record set repeats one owner: it
+    /// is checked once and shared.
+    pub(crate) fn into_records(self) -> NsResult<Vec<ResourceRecord>> {
+        let mut records: Vec<ResourceRecord> = Vec::with_capacity(self.size_hint().0);
+        for r in self {
+            let rr = r?.to_record(records.last().map(|prev| &prev.name))?;
+            records.push(rr);
+        }
+        Ok(records)
+    }
+}
+
+impl<'a> Iterator for RecordViews<'a> {
+    type Item = NsResult<RecordView<'a>>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let view = RecordView::read(self.items.next()?, self.prev);
+        if let Ok(view) = &view {
+            self.prev = Some(view.owner);
+        }
+        Some(view)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.items.size_hint()
     }
 }
 
@@ -306,17 +403,48 @@ impl MultiAnswer {
 
     /// Deserializes from a wire value.
     pub fn from_value(v: &Value) -> NsResult<MultiAnswer> {
-        let decode = |field: &str| -> NsResult<Vec<Answer>> {
-            v.field(field)
-                .and_then(Value::as_list)
-                .map_err(|e| NsError::BadRecord(e.to_string()))?
-                .iter()
-                .map(Answer::from_value)
-                .collect()
+        MultiAnswerView::new(v).to_multi_answer()
+    }
+}
+
+/// A batched reply read in place: its two lists of answer values, each
+/// read on demand as an [`AnswerView`].
+#[derive(Debug, Clone, Copy)]
+pub struct MultiAnswerView<'a> {
+    reply: &'a Value,
+}
+
+impl<'a> MultiAnswerView<'a> {
+    /// Wraps a reply value; nothing is read yet.
+    pub fn new(reply: &'a Value) -> Self {
+        MultiAnswerView { reply }
+    }
+
+    fn sets(&self, field: &str) -> NsResult<&'a [Value]> {
+        self.reply
+            .field(field)
+            .and_then(Value::as_list)
+            .map_err(|e| NsError::BadRecord(e.to_string()))
+    }
+
+    /// The answers, aligned with the request's questions.
+    pub fn answers(&self) -> NsResult<&'a [Value]> {
+        self.sets("answers")
+    }
+
+    /// The speculative additional record sets.
+    pub fn additional(&self) -> NsResult<&'a [Value]> {
+        self.sets("additional")
+    }
+
+    /// Builds every answer: [`MultiAnswer::from_value`].
+    pub fn to_multi_answer(&self) -> NsResult<MultiAnswer> {
+        let decode = |sets: &[Value]| -> NsResult<Vec<Answer>> {
+            sets.iter().map(Answer::from_value).collect()
         };
         Ok(MultiAnswer {
-            answers: decode("answers")?,
-            additional: decode("additional")?,
+            answers: decode(self.answers()?)?,
+            additional: decode(self.additional()?)?,
         })
     }
 }

@@ -43,12 +43,11 @@ impl DomainName {
         if trimmed.is_empty() {
             return Ok(DomainName::root());
         }
-        check_len(trimmed.len())?;
-        for label in trimmed.split('.') {
-            if label.is_empty() {
-                return Err(NsError::BadName(format!("empty label in `{s}`")));
-            }
-            check_label(label)?;
+        check_labels(trimmed, s)?;
+        if !trimmed.bytes().any(|b| b.is_ascii_uppercase()) {
+            return Ok(DomainName {
+                text: Arc::from(trimmed),
+            });
         }
         // Lowercase on the stack (the text fits in MAX_NAME bytes) so the
         // shared buffer is the one allocation.
@@ -63,10 +62,42 @@ impl DomainName {
         })
     }
 
+    /// Checks `s` exactly as [`DomainName::parse`] does, with the same
+    /// errors, without building a name.
+    pub fn check(s: &str) -> NsResult<()> {
+        let trimmed = s.strip_suffix('.').unwrap_or(s);
+        if trimmed.is_empty() {
+            return Ok(());
+        }
+        check_labels(trimmed, s)
+    }
+
+    /// [`DomainName::parse`] for text that arrives already shared: when
+    /// `text` is canonical (lowercase, no trailing dot, or `.` itself)
+    /// and valid, the name takes over the buffer instead of copying it.
+    /// Other text goes through `parse`. The checks and errors are those
+    /// of `parse`.
+    pub fn adopt(text: &Arc<str>) -> NsResult<DomainName> {
+        let canonical =
+            &**text == ROOT || (is_valid(text) && !text.bytes().any(|b| b.is_ascii_uppercase()));
+        if !canonical {
+            return DomainName::parse(text);
+        }
+        Ok(DomainName {
+            text: Arc::clone(text),
+        })
+    }
+
     /// The canonical text: lowercase labels joined by dots, `.` for the
     /// root.
     pub fn as_str(&self) -> &str {
         &self.text
+    }
+
+    /// The canonical text's shared buffer (a reference-count bump), for
+    /// handing the name to a wire value without copying it.
+    pub fn shared_text(&self) -> Arc<str> {
+        Arc::clone(&self.text)
     }
 
     /// The labels, leftmost (most specific) first; none for the root.
@@ -136,12 +167,50 @@ impl DomainName {
     }
 }
 
-/// Rejects a dotted rendering longer than [`MAX_NAME`] bytes.
-fn check_len(dotted: usize) -> NsResult<()> {
+/// The checks of [`DomainName::parse`] on `trimmed`, the input `s` without
+/// its trailing dot: at most [`MAX_NAME`] bytes, no empty label, every
+/// label valid. Errors quote `s`.
+fn check_labels(trimmed: &str, s: &str) -> NsResult<()> {
+    if is_valid(trimmed) {
+        return Ok(());
+    }
+    // Invalid: walk the labels again to name the first fault.
+    let dotted = trimmed.len();
     if dotted > MAX_NAME {
         return Err(NsError::BadName(format!("name too long ({dotted} bytes)")));
     }
+    for label in trimmed.split('.') {
+        if label.is_empty() {
+            return Err(NsError::BadName(format!("empty label in `{s}`")));
+        }
+        check_label(label)?;
+    }
     Ok(())
+}
+
+/// [`check_labels`]'s verdict in one pass over the bytes, without the
+/// error. Valid text is non-empty and has no trailing dot.
+fn is_valid(trimmed: &str) -> bool {
+    if trimmed.len() > MAX_NAME {
+        return false;
+    }
+    let mut label = 0;
+    for &b in trimmed.as_bytes() {
+        if b == b'.' {
+            if label == 0 {
+                return false;
+            }
+            label = 0;
+        } else if b.is_ascii_alphanumeric() || b == b'-' || b == b'_' {
+            label += 1;
+            if label > MAX_LABEL {
+                return false;
+            }
+        } else {
+            return false;
+        }
+    }
+    label != 0
 }
 
 /// Rejects a label longer than [`MAX_LABEL`] bytes or holding a byte

@@ -19,8 +19,10 @@ use hrpc::net::RpcNet;
 use hrpc::HrpcBinding;
 
 use crate::cache::TtlCache;
+use crate::error::{NsError, NsResult};
 use crate::message::{
-    Answer, MultiAnswer, MultiQuestion, Question, PROC_MQUERY, PROC_QUERY, PROC_UPDATE,
+    rcode_result, Answer, AnswerView, MultiAnswer, MultiAnswerView, MultiQuestion, Question,
+    RecordViews, PROC_MQUERY, PROC_QUERY, PROC_UPDATE,
 };
 use crate::name::DomainName;
 use crate::rr::{RType, ResourceRecord};
@@ -131,19 +133,16 @@ impl StdResolver {
             .call(self.host, &self.server, PROC_QUERY, &question.to_value())?;
         let answer = Answer::from_value(&reply).map_err(|e| RpcError::Service(e.to_string()))?;
         // Hand-written marshalling cost for the records that came back:
-        // exercise the real fast codec and charge its calibrated cost.
-        let _wire = answer.to_fast_bytes().map_err(RpcError::Wire)?;
+        // the answer must fit the fast codec's format (checked by length;
+        // the bytes themselves are not needed), and its calibrated cost
+        // is charged.
+        answer.check_fast().map_err(RpcError::Wire)?;
         let world = self.world();
         world.charge_ms(world.costs.fast_marshal(answer.records.len().max(1)));
         self.query_us
             .get(world.metrics(), "bind_resolver", "std_query_us")
             .record(world.now().since(t0).as_us());
-        answer.into_result(&question).map_err(|e| match e {
-            crate::error::NsError::NameError(n) | crate::error::NsError::NoData(n) => {
-                RpcError::NotFound(n)
-            }
-            other => RpcError::Service(other.to_string()),
-        })
+        answer.into_result(&question).map_err(lookup_err)
     }
 
     /// Cache statistics.
@@ -206,6 +205,20 @@ impl HrpcResolver {
     /// Queries the server; returns the answer and charges the generated
     /// marshalling cost plus the interface's fixed overhead.
     pub fn query(&self, name: &DomainName, rtype: RType) -> RpcResult<Vec<ResourceRecord>> {
+        self.query_with(name, rtype, |records| records.into_records())
+    }
+
+    /// [`HrpcResolver::query`], reading the reply in place: `read` gets
+    /// the answer's records as views and returns what the caller needs
+    /// from them. It runs where `query` builds its records — before the
+    /// charge and the outcome check — and an error from it fails the
+    /// call as a malformed reply does.
+    pub fn query_with<T>(
+        &self,
+        name: &DomainName,
+        rtype: RType,
+        read: impl FnOnce(RecordViews<'_>) -> NsResult<T>,
+    ) -> RpcResult<T> {
         let t0 = self.net.world().now();
         self.queries
             .get(self.net.world().metrics(), "bind_resolver", "hrpc_queries")
@@ -214,21 +227,17 @@ impl HrpcResolver {
         let reply = self
             .net
             .call(self.host, &self.server, PROC_QUERY, &question.to_value())?;
-        let answer = Answer::from_value(&reply).map_err(|e| RpcError::Service(e.to_string()))?;
+        let answer = AnswerView::read(&reply).map_err(service_err)?;
+        let out = read(answer.records()).map_err(service_err)?;
         let world = self.net.world();
         world.charge_ms(
-            world.costs.generated_miss(answer.records.len().max(1))
-                + world.costs.bind_resolver_overhead,
+            world.costs.generated_miss(answer.len().max(1)) + world.costs.bind_resolver_overhead,
         );
         self.query_us
             .get(world.metrics(), "bind_resolver", "hrpc_query_us")
             .record(world.now().since(t0).as_us());
-        answer.into_result(&question).map_err(|e| match e {
-            crate::error::NsError::NameError(n) | crate::error::NsError::NoData(n) => {
-                RpcError::NotFound(n)
-            }
-            other => RpcError::Service(other.to_string()),
-        })
+        rcode_result(answer.rcode, &question).map_err(lookup_err)?;
+        Ok(out)
     }
 
     /// Sends a multi-question query in one round trip; the reply may carry
@@ -238,6 +247,19 @@ impl HrpcResolver {
     /// Marshalling is charged per record set — the batch saves transport
     /// round trips and per-call resolver overhead, not demarshalling work.
     pub fn mquery(&self, questions: &[Question], hints: &[String]) -> RpcResult<MultiAnswer> {
+        self.mquery_with(questions, hints, |reply| reply.to_multi_answer())
+    }
+
+    /// [`HrpcResolver::mquery`], reading the reply in place: `read` runs
+    /// where `mquery` decodes the reply, before the charge, and an error
+    /// from it fails the call as a malformed reply does. The charge
+    /// counts the records of every set.
+    pub fn mquery_with<T>(
+        &self,
+        questions: &[Question],
+        hints: &[String],
+        read: impl FnOnce(MultiAnswerView<'_>) -> NsResult<T>,
+    ) -> RpcResult<T> {
         self.mqueries
             .get(self.net.world().metrics(), "bind_resolver", "mqueries")
             .inc();
@@ -245,17 +267,20 @@ impl HrpcResolver {
         let reply = self
             .net
             .call(self.host, &self.server, PROC_MQUERY, &mq.to_value())?;
-        let multi =
-            MultiAnswer::from_value(&reply).map_err(|e| RpcError::Service(e.to_string()))?;
+        let multi = MultiAnswerView::new(&reply);
+        let out = read(multi).map_err(service_err)?;
         let world = self.net.world();
         // Every returned set still pays generated demarshalling, but the
         // whole batch pays the fixed interface overhead exactly once.
         let mut marshal_ms = world.costs.bind_resolver_overhead;
-        for answer in multi.answers.iter().chain(multi.additional.iter()) {
-            marshal_ms += world.costs.generated_miss(answer.records.len().max(1));
+        for sets in [multi.answers(), multi.additional()] {
+            for set in sets.map_err(service_err)? {
+                let records = AnswerView::read(set).map_err(service_err)?.len();
+                marshal_ms += world.costs.generated_miss(records.max(1));
+            }
         }
         world.charge_ms(marshal_ms);
-        Ok(multi)
+        Ok(out)
     }
 
     /// Sends a dynamic update (requires the modified server).
@@ -274,6 +299,20 @@ impl HrpcResolver {
     }
 }
 
+/// A reply the client could not read.
+fn service_err(e: NsError) -> RpcError {
+    RpcError::Service(e.to_string())
+}
+
+/// A lookup's failure as an RPC error: an absent name or type is
+/// `NotFound`.
+fn lookup_err(e: NsError) -> RpcError {
+    match e {
+        NsError::NameError(n) | NsError::NoData(n) => RpcError::NotFound(n),
+        other => RpcError::Service(other.to_string()),
+    }
+}
+
 impl std::fmt::Debug for HrpcResolver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HrpcResolver")
@@ -285,10 +324,11 @@ impl std::fmt::Debug for HrpcResolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{deploy, single_zone_server, BindDeployment};
+    use crate::server::{deploy, single_zone_server, BindDeployment, BIND_PROGRAM, DNS_PORT};
     use crate::zone::Zone;
     use simnet::topology::{HostId, NetAddr};
     use simnet::world::World;
+    use wire::Value;
 
     fn name(s: &str) -> DomainName {
         DomainName::parse(s).expect("valid name")
@@ -490,6 +530,47 @@ mod tests {
         assert!(result.is_ok());
         assert_eq!(delta.remote_calls, 1, "healed query refetches");
         assert_eq!(resolver.cache_stats().stale_serves, 1, "no new stale serve");
+    }
+
+    #[test]
+    fn rdata_too_long_for_the_fast_format_fails_the_lookup() {
+        // A test double answers with one 257-byte rdata (tag + 256 bytes):
+        // it decodes, but cannot ride the hand-written format, whose
+        // records hold at most 256 bytes. The lookup fails as encoding
+        // it would, with no bytes built.
+        let world = World::paper();
+        let client = world.add_host("client");
+        let ns_host = world.add_host("ns.oversize.test");
+        let net = RpcNet::new(Arc::clone(&world));
+        let mut rdata = vec![crate::rr::RData::OPAQUE_TAG];
+        rdata.extend([b'x'; 256]);
+        let reply = Value::record([
+            ("rcode", Value::U32(0)),
+            (
+                "answers",
+                Value::List(vec![Value::record([
+                    ("name", Value::str("big.oversize.test")),
+                    ("rtype", Value::U32(RType::Unspec.code() as u32)),
+                    ("ttl", Value::U32(60)),
+                    ("rdata", Value::bytes(rdata)),
+                ])]),
+            ),
+        ]);
+        let double = hrpc::server::ProcServer::new("oversize-bind")
+            .with_proc(PROC_QUERY, move |_c, _a| Ok(reply.clone()));
+        net.export_at(ns_host, DNS_PORT, BIND_PROGRAM, Arc::new(double));
+        let binding = HrpcBinding {
+            host: ns_host,
+            addr: NetAddr::of(ns_host),
+            program: BIND_PROGRAM,
+            port: DNS_PORT,
+            components: hrpc::ComponentSet::native_dns(DNS_PORT),
+        };
+        let resolver = StdResolver::new(net, client, binding);
+        assert_eq!(
+            resolver.query_uncached(&name("big.oversize.test"), RType::Unspec),
+            Err(RpcError::Wire(wire::WireError::Oversize(0)))
+        );
     }
 
     #[test]

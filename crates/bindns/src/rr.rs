@@ -9,6 +9,9 @@
 //! was altered "to support both dynamic updates and also data of
 //! unspecified type" so it could serve as the HNS meta-naming repository.
 
+use std::iter;
+use std::sync::Arc;
+
 use simnet::topology::{HostId, NetAddr};
 use wire::Value;
 
@@ -91,7 +94,8 @@ impl std::fmt::Display for RType {
     }
 }
 
-/// Typed record data.
+/// Typed record data. Payloads are shared, so cloning a record out of a
+/// zone copies no bytes.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum RData {
     /// A network address (for `A` records).
@@ -99,9 +103,9 @@ pub enum RData {
     /// A domain name (for `NS`, `CNAME`, `MX` targets).
     Domain(DomainName),
     /// Text (for `TXT`, `HINFO`).
-    Text(String),
+    Text(Arc<str>),
     /// Opaque bytes (for `WKS`, `UNSPEC`).
-    Opaque(Vec<u8>),
+    Opaque(Arc<[u8]>),
     /// Start-of-authority payload.
     Soa {
         /// Primary server host name.
@@ -114,48 +118,56 @@ pub enum RData {
 }
 
 impl RData {
-    /// Serializes to rdata bytes (bounded by [`MAX_RDATA`]).
-    pub fn to_bytes(&self) -> NsResult<Vec<u8>> {
-        let bytes = match self {
-            RData::Addr(addr) => {
-                let mut b = vec![0u8];
-                b.extend_from_slice(&addr.host.0.to_be_bytes());
-                b
-            }
-            RData::Domain(name) => {
-                let mut b = vec![1u8];
-                b.extend_from_slice(name.as_str().as_bytes());
-                b
-            }
-            RData::Text(s) => {
-                let mut b = vec![2u8];
-                b.extend_from_slice(s.as_bytes());
-                b
-            }
-            RData::Opaque(data) => {
-                let mut b = vec![3u8];
-                b.extend_from_slice(data);
-                b
-            }
+    /// Tag byte that opens the serialized form of an [`RData::Opaque`].
+    pub(crate) const OPAQUE_TAG: u8 = 3;
+
+    /// Length of [`RData::to_bytes`]'s output: a tag byte plus the
+    /// payload.
+    pub fn wire_len(&self) -> usize {
+        1 + match self {
+            RData::Addr(_) => 4,
+            RData::Domain(name) => name.wire_len(),
+            RData::Text(s) => s.len(),
+            RData::Opaque(data) => data.len(),
+            RData::Soa { primary, .. } => 8 + primary.wire_len(),
+        }
+    }
+
+    /// [`RData::wire_len`], or the error [`RData::to_bytes`] gives for
+    /// rdata over [`MAX_RDATA`].
+    pub fn checked_len(&self) -> NsResult<usize> {
+        let len = self.wire_len();
+        if len > MAX_RDATA {
+            return Err(NsError::BadRecord(format!(
+                "rdata {len} bytes exceeds {MAX_RDATA}"
+            )));
+        }
+        Ok(len)
+    }
+
+    /// Serializes to rdata bytes (bounded by [`MAX_RDATA`]): the tag byte
+    /// and the payload, written once into a shared buffer of the exact
+    /// size.
+    pub fn to_bytes(&self) -> NsResult<Arc<[u8]>> {
+        self.checked_len()?;
+        let tagged = |tag: u8, payload: &[u8]| -> Arc<[u8]> {
+            iter::once(tag).chain(payload.iter().copied()).collect()
+        };
+        Ok(match self {
+            RData::Addr(addr) => tagged(0, &addr.host.0.to_be_bytes()),
+            RData::Domain(name) => tagged(1, name.as_str().as_bytes()),
+            RData::Text(s) => tagged(2, s.as_bytes()),
+            RData::Opaque(data) => tagged(Self::OPAQUE_TAG, data),
             RData::Soa {
                 primary,
                 serial,
                 default_ttl,
-            } => {
-                let mut b = vec![4u8];
-                b.extend_from_slice(&serial.to_be_bytes());
-                b.extend_from_slice(&default_ttl.to_be_bytes());
-                b.extend_from_slice(primary.as_str().as_bytes());
-                b
-            }
-        };
-        if bytes.len() > MAX_RDATA {
-            return Err(NsError::BadRecord(format!(
-                "rdata {} bytes exceeds {MAX_RDATA}",
-                bytes.len()
-            )));
-        }
-        Ok(bytes)
+            } => iter::once(4)
+                .chain(serial.to_be_bytes())
+                .chain(default_ttl.to_be_bytes())
+                .chain(primary.as_str().as_bytes().iter().copied())
+                .collect(),
+        })
     }
 
     /// Deserializes rdata bytes.
@@ -178,9 +190,9 @@ impl RData {
             2 => {
                 let s = std::str::from_utf8(rest)
                     .map_err(|_| NsError::BadRecord("bad text rdata".into()))?;
-                Ok(RData::Text(s.to_string()))
+                Ok(RData::Text(s.into()))
             }
-            3 => Ok(RData::Opaque(rest.to_vec())),
+            Self::OPAQUE_TAG => Ok(RData::Opaque(rest.into())),
             4 => {
                 if rest.len() < 8 {
                     return Err(NsError::BadRecord("short SOA rdata".into()));
@@ -225,7 +237,7 @@ impl ResourceRecord {
     }
 
     /// Builds a `TXT` record.
-    pub fn txt(name: DomainName, ttl: u32, text: impl Into<String>) -> Self {
+    pub fn txt(name: DomainName, ttl: u32, text: impl Into<Arc<str>>) -> Self {
         ResourceRecord {
             name,
             rtype: RType::Txt,
@@ -235,12 +247,12 @@ impl ResourceRecord {
     }
 
     /// Builds an `UNSPEC` record carrying opaque bytes.
-    pub fn unspec(name: DomainName, ttl: u32, data: Vec<u8>) -> Self {
+    pub fn unspec(name: DomainName, ttl: u32, data: impl Into<Arc<[u8]>>) -> Self {
         ResourceRecord {
             name,
             rtype: RType::Unspec,
             ttl,
-            rdata: RData::Opaque(data),
+            rdata: RData::Opaque(data.into()),
         }
     }
 
@@ -255,9 +267,11 @@ impl ResourceRecord {
     }
 
     /// Serializes to a wire value (used by the HRPC interface to BIND).
+    /// The value shares the owner's text; the rdata bytes are its one
+    /// allocation besides the field vector.
     pub fn to_value(&self) -> NsResult<Value> {
         Ok(Value::record([
-            ("name", Value::str(self.name.as_str())),
+            ("name", Value::Str(self.name.shared_text())),
             ("rtype", Value::U32(self.rtype.code() as u32)),
             ("ttl", Value::U32(self.ttl)),
             ("rdata", Value::Bytes(self.rdata.to_bytes()?)),
@@ -266,38 +280,78 @@ impl ResourceRecord {
 
     /// Deserializes from a wire value.
     pub fn from_value(v: &Value) -> NsResult<ResourceRecord> {
-        ResourceRecord::from_value_after(v, None)
-    }
-
-    /// [`ResourceRecord::from_value`] for the next record of a set: when
-    /// the owner string is `prev`'s canonical name text, the owner is
-    /// shared with `prev` instead of parsed again.
-    pub(crate) fn from_value_after(
-        v: &Value,
-        prev: Option<&ResourceRecord>,
-    ) -> NsResult<ResourceRecord> {
-        fn get<T>(r: Result<T, wire::WireError>) -> NsResult<T> {
-            r.map_err(|e| NsError::BadRecord(e.to_string()))
-        }
-        let owner = get(v.str_field("name"))?;
-        let name = match prev {
-            Some(prev) if prev.name.as_str() == owner => prev.name.clone(),
-            _ => DomainName::parse(owner)?,
-        };
-        let rtype = RType::from_code(get(v.u32_field("rtype"))? as u16)?;
-        let ttl = get(v.u32_field("ttl"))?;
-        let rdata_bytes = get(get(v.field("rdata"))?.as_bytes())?;
-        Ok(ResourceRecord {
-            name,
-            rtype,
-            ttl,
-            rdata: RData::from_bytes(rdata_bytes)?,
-        })
+        RecordView::read(v, None)?.to_record(None)
     }
 
     /// Approximate stored size in bytes (for zone-transfer costing).
     pub fn size_bytes(&self) -> usize {
-        self.name.wire_len() + 8 + self.rdata.to_bytes().map(|b| b.len()).unwrap_or(0)
+        self.name.wire_len() + 8 + self.rdata.checked_len().unwrap_or(0)
+    }
+}
+
+/// A record read in place from its wire [`Value`]: the owner's text is
+/// checked but not copied, and the rdata stays serialized. It backs
+/// [`ResourceRecord::from_value`], [`crate::message::Answer::from_value`]
+/// and readers that need only the payload bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordView<'a> {
+    /// The owner's text, valid as a [`DomainName`].
+    pub owner: &'a Arc<str>,
+    /// Record type.
+    pub rtype: RType,
+    /// Time to live, seconds.
+    pub ttl: u32,
+    /// Serialized rdata ([`RData::to_bytes`]), not yet decoded.
+    pub rdata: &'a [u8],
+}
+
+impl<'a> RecordView<'a> {
+    /// Reads the fields of a record value, with the checks and errors of
+    /// [`ResourceRecord::from_value`] in the same order, except that the
+    /// rdata is not decoded. An owner equal to `prev` (the previous owner
+    /// of the same set) was checked already and is not checked again.
+    pub fn read(v: &'a Value, prev: Option<&str>) -> NsResult<RecordView<'a>> {
+        fn get<T>(r: Result<T, wire::WireError>) -> NsResult<T> {
+            r.map_err(|e| NsError::BadRecord(e.to_string()))
+        }
+        let owner = get(v.field("name").and_then(Value::as_shared_str))?;
+        if prev != Some(&**owner) {
+            DomainName::check(owner)?;
+        }
+        let rtype = RType::from_code(get(v.u32_field("rtype"))? as u16)?;
+        let ttl = get(v.u32_field("ttl"))?;
+        let rdata = get(get(v.field("rdata"))?.as_bytes())?;
+        Ok(RecordView {
+            owner,
+            rtype,
+            ttl,
+            rdata,
+        })
+    }
+
+    /// The payload of an `UNSPEC`-style opaque rdata, read in place;
+    /// `None` for any other rdata.
+    pub fn opaque(&self) -> Option<&'a [u8]> {
+        match self.rdata.split_first() {
+            Some((&RData::OPAQUE_TAG, payload)) => Some(payload),
+            _ => None,
+        }
+    }
+
+    /// Builds the record, decoding the rdata. The owner is shared with
+    /// `prev` when the text is the same, and otherwise takes over the
+    /// incoming text ([`DomainName::adopt`]).
+    pub fn to_record(&self, prev: Option<&DomainName>) -> NsResult<ResourceRecord> {
+        let name = match prev {
+            Some(prev) if prev.as_str() == &**self.owner => prev.clone(),
+            _ => DomainName::adopt(self.owner)?,
+        };
+        Ok(ResourceRecord {
+            name,
+            rtype: self.rtype,
+            ttl: self.ttl,
+            rdata: RData::from_bytes(self.rdata)?,
+        })
     }
 }
 
@@ -333,7 +387,7 @@ mod tests {
             RData::Addr(NetAddr::of(HostId(7))),
             RData::Domain(name("ns.cs.washington.edu")),
             RData::Text("VAX-II / Unix".into()),
-            RData::Opaque(vec![1, 2, 3]),
+            RData::Opaque(vec![1, 2, 3].into()),
             RData::Soa {
                 primary: name("ns.cs.washington.edu"),
                 serial: 42,
@@ -348,9 +402,9 @@ mod tests {
 
     #[test]
     fn oversized_rdata_rejected() {
-        let rdata = RData::Opaque(vec![0; MAX_RDATA]);
+        let rdata = RData::Opaque(vec![0; MAX_RDATA].into());
         assert!(rdata.to_bytes().is_err());
-        let ok = RData::Opaque(vec![0; MAX_RDATA - 1]);
+        let ok = RData::Opaque(vec![0; MAX_RDATA - 1].into());
         assert!(ok.to_bytes().is_ok());
     }
 

@@ -329,7 +329,12 @@ impl BindServer {
             ("records", Value::List(records.map_err(service_err)?)),
             (
                 "removed",
-                Value::List(removed.iter().map(|n| Value::str(n.to_string())).collect()),
+                Value::List(
+                    removed
+                        .iter()
+                        .map(|n| Value::Str(n.shared_text()))
+                        .collect(),
+                ),
             ),
         ]))
     }

@@ -80,7 +80,7 @@ impl UpdateOp {
             }
             UpdateOp::Delete { name, rtype } => Value::record(vec![
                 ("op", Value::U32(1)),
-                ("name", Value::str(name.as_str())),
+                ("name", Value::Str(name.shared_text())),
                 ("rtype", Value::U32(rtype.code() as u32)),
             ]),
             UpdateOp::Replace {
@@ -92,7 +92,7 @@ impl UpdateOp {
                     records.iter().map(ResourceRecord::to_value).collect();
                 Value::record(vec![
                     ("op", Value::U32(2)),
-                    ("name", Value::str(name.as_str())),
+                    ("name", Value::Str(name.shared_text())),
                     ("rtype", Value::U32(rtype.code() as u32)),
                     ("records", Value::List(recs?)),
                 ])
@@ -108,7 +108,11 @@ impl UpdateOp {
                 v.field("record").map_err(bad)?,
             )?)),
             1 => Ok(UpdateOp::Delete {
-                name: DomainName::parse(v.str_field("name").map_err(bad)?)?,
+                name: DomainName::adopt(
+                    v.field("name")
+                        .and_then(Value::as_shared_str)
+                        .map_err(bad)?,
+                )?,
                 rtype: RType::from_code(v.u32_field("rtype").map_err(bad)? as u16)?,
             }),
             2 => {
@@ -116,7 +120,11 @@ impl UpdateOp {
                 let records: NsResult<Vec<ResourceRecord>> =
                     list.iter().map(ResourceRecord::from_value).collect();
                 Ok(UpdateOp::Replace {
-                    name: DomainName::parse(v.str_field("name").map_err(bad)?)?,
+                    name: DomainName::adopt(
+                        v.field("name")
+                            .and_then(Value::as_shared_str)
+                            .map_err(bad)?,
+                    )?,
                     rtype: RType::from_code(v.u32_field("rtype").map_err(bad)? as u16)?,
                     records: records?,
                 })

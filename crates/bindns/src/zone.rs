@@ -56,7 +56,7 @@ impl RrBody {
 
     /// Stored bytes of the body alone (type + ttl + rdata).
     fn body_bytes(&self) -> usize {
-        8 + self.rdata.to_bytes().map(|b| b.len()).unwrap_or(0)
+        8 + self.rdata.checked_len().unwrap_or(0)
     }
 }
 
@@ -164,7 +164,7 @@ impl Zone {
             return Err(NsError::NotAuthoritative(rr.name.to_string()));
         }
         // Validate rdata size eagerly.
-        rr.rdata.to_bytes()?;
+        rr.rdata.checked_len()?;
         let set = self.records.entry(rr.name.clone()).or_default();
         let has_cname = set.iter().any(|r| r.rtype == RType::Cname);
         if rr.rtype == RType::Cname && !set.is_empty() {
@@ -281,11 +281,9 @@ impl Zone {
             .records
             .get(name)
             .ok_or_else(|| NsError::NameError(name.to_string()))?;
-        let matched: Vec<ResourceRecord> = set
-            .iter()
-            .filter(|r| r.rtype == rtype)
-            .map(|b| b.to_record(name))
-            .collect();
+        let of_type = || set.iter().filter(|r| r.rtype == rtype);
+        let mut matched = Vec::with_capacity(of_type().count());
+        matched.extend(of_type().map(|b| b.to_record(name)));
         if !matched.is_empty() {
             return Ok(matched);
         }

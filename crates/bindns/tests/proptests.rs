@@ -3,6 +3,7 @@
 use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
@@ -107,8 +108,8 @@ fn arb_parse_input() -> impl Strategy<Value = String> {
 fn arb_rdata() -> impl Strategy<Value = RData> {
     prop_oneof![
         (0u32..256).prop_map(|h| RData::Addr(NetAddr::of(HostId(h)))),
-        "[ -~]{0,64}".prop_map(RData::Text),
-        proptest::collection::vec(any::<u8>(), 0..64).prop_map(RData::Opaque),
+        "[ -~]{0,64}".prop_map(|t| RData::Text(t.into())),
+        proptest::collection::vec(any::<u8>(), 0..64).prop_map(|b| RData::Opaque(b.into())),
     ]
 }
 
@@ -277,4 +278,48 @@ proptest! {
             (got, want) => prop_assert!(false, "{:?}: {:?} but the model gives {:?}", s, got, want),
         }
     }
+
+    #[test]
+    fn adopting_shared_text_matches_parse(
+        a in arb_adopt_input(),
+        b in arb_adopt_input(),
+    ) {
+        let (shared_a, shared_b): (Arc<str>, Arc<str>) = (a.as_str().into(), b.as_str().into());
+        prop_assert_eq!(DomainName::check(&a), DomainName::parse(&a).map(|_| ()));
+        match (DomainName::adopt(&shared_a), DomainName::parse(&a)) {
+            (Ok(adopted), Ok(parsed)) => {
+                prop_assert_eq!(adopted.as_str(), parsed.as_str());
+                prop_assert_eq!(&adopted, &parsed);
+                prop_assert_eq!(adopted.cmp(&parsed), Ordering::Equal);
+                prop_assert_eq!(hash_of(&adopted), hash_of(&parsed));
+                // Canonical text is taken over; anything else is copied.
+                prop_assert_eq!(
+                    Arc::ptr_eq(&adopted.shared_text(), &shared_a),
+                    a == parsed.as_str(),
+                    "{:?}", a
+                );
+                if let (Ok(other_adopted), Ok(other_parsed)) =
+                    (DomainName::adopt(&shared_b), DomainName::parse(&b))
+                {
+                    prop_assert_eq!(adopted.cmp(&other_adopted), parsed.cmp(&other_parsed));
+                    prop_assert_eq!(adopted == other_adopted, parsed == other_parsed);
+                }
+            }
+            (Err(err), Err(parse_err)) => prop_assert_eq!(err, parse_err, "{:?}", a),
+            (got, want) => prop_assert!(false, "{:?}: adopt gives {:?}, parse {:?}", a, got, want),
+        }
+    }
+}
+
+/// Texts for [`DomainName::adopt`]: the parse-limit inputs as they come
+/// (upper case, trailing dots, bad labels, the root) and in lower case,
+/// plus related lowercase pairs, so canonical text is common.
+fn arb_adopt_input() -> impl Strategy<Value = String> {
+    prop_oneof![
+        arb_parse_input(),
+        arb_parse_input().prop_map(|s| s.to_ascii_lowercase()),
+        arb_close_pair().prop_map(|(a, b)| format!("{a}.{b}").to_ascii_lowercase()),
+        Just(".".to_string()),
+        Just(String::new()),
+    ]
 }

@@ -30,7 +30,7 @@ impl Credentials {
     /// Serializes to a wire value.
     pub fn to_value(&self) -> wire::Value {
         wire::Value::record(vec![
-            ("identity", wire::Value::str(self.identity.to_string())),
+            ("identity", self.identity.to_value()),
             ("key", wire::Value::U64(self.key)),
         ])
     }

@@ -87,10 +87,7 @@ impl ChClient {
     }
 
     fn base_args(&self, name: &ThreePartName) -> Vec<(&'static str, Value)> {
-        vec![
-            ("creds", self.creds.to_value()),
-            ("name", Value::str(name.to_string())),
-        ]
+        vec![("creds", self.creds.to_value()), ("name", name.to_value())]
     }
 
     /// Reads one property.
@@ -122,7 +119,7 @@ impl ChClient {
             ("creds", self.creds.to_value()),
             (
                 "names",
-                Value::List(names.iter().map(|n| Value::str(n.to_string())).collect()),
+                Value::List(names.iter().map(ThreePartName::to_value).collect()),
             ),
             ("prop", Value::U32(prop.0)),
         ]);
@@ -189,7 +186,7 @@ impl ChClient {
     /// Installs an alias for an existing entry.
     pub fn add_alias(&self, alias: &ThreePartName, target: &ThreePartName) -> RpcResult<()> {
         let mut args = self.base_args(alias);
-        args.push(("target", Value::str(target.to_string())));
+        args.push(("target", target.to_value()));
         self.net.call(
             self.host,
             &self.server,

@@ -74,9 +74,20 @@ impl ThreePartName {
     }
 
     /// Interns the canonical (lowercase, colon-joined) rendering of this
-    /// name in the global interner, returning its compact id. A
-    /// thread-local buffer keeps the warm path allocation-free.
+    /// name in the global interner, returning its compact id.
     pub fn interned(&self) -> intern::NameId {
+        self.with_rendering(intern::intern)
+    }
+
+    /// The rendering as a wire string, whose shared buffer is its one
+    /// allocation.
+    pub fn to_value(&self) -> wire::Value {
+        self.with_rendering(|text| wire::Value::str(text))
+    }
+
+    /// Runs `f` on the rendering, written into a thread-local buffer so
+    /// the warm path allocates nothing for it.
+    fn with_rendering<R>(&self, f: impl FnOnce(&str) -> R) -> R {
         use std::fmt::Write as _;
         thread_local! {
             static BUF: std::cell::RefCell<String> = const { std::cell::RefCell::new(String::new()) };
@@ -85,7 +96,7 @@ impl ThreePartName {
             let mut buf = buf.borrow_mut();
             buf.clear();
             let _ = write!(buf, "{self}");
-            intern::intern(&buf)
+            f(&buf)
         })
     }
 }

@@ -126,10 +126,7 @@ impl Entry {
                     Property::Group(set) => Value::record(vec![
                         ("id", Value::U32(id.0)),
                         ("kind", Value::U32(1)),
-                        (
-                            "members",
-                            Value::List(set.iter().map(|m| Value::str(m.clone())).collect()),
-                        ),
+                        ("members", Value::List(set.iter().map(Value::str).collect())),
                     ]),
                 })
                 .collect(),

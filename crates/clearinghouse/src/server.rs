@@ -111,10 +111,7 @@ pub fn property_to_value(p: &Property) -> Value {
         Property::Item(v) => Value::record(vec![("kind", Value::U32(0)), ("value", v.clone())]),
         Property::Group(set) => Value::record(vec![
             ("kind", Value::U32(1)),
-            (
-                "members",
-                Value::List(set.iter().map(|m| Value::str(m.clone())).collect()),
-            ),
+            ("members", Value::List(set.iter().map(Value::str).collect())),
         ]),
     }
 }
@@ -206,7 +203,7 @@ impl RpcService for ChServer {
                 let pattern = args.str_field("pattern")?;
                 let names = self.db.read().list(domain, organization, pattern);
                 Ok(Value::List(
-                    names.iter().map(|n| Value::str(n.to_string())).collect(),
+                    names.iter().map(ThreePartName::to_value).collect(),
                 ))
             }
             PROC_LOOKUP_RUN => {
@@ -249,10 +246,7 @@ impl RpcService for ChServer {
                     snapshot
                         .into_iter()
                         .map(|(n, e)| {
-                            Value::record(vec![
-                                ("name", Value::str(n.to_string())),
-                                ("entry", e.to_value()),
-                            ])
+                            Value::record(vec![("name", n.to_value()), ("entry", e.to_value())])
                         })
                         .collect(),
                 ))

@@ -19,6 +19,7 @@ static INSTALLED: AtomicBool = AtomicBool::new(false);
 
 thread_local! {
     static ALLOCATED: Cell<u64> = const { Cell::new(0) };
+    static CALLS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn charge(bytes: usize) {
@@ -26,6 +27,7 @@ fn charge(bytes: usize) {
     // try_with: the allocator can be re-entered during thread teardown
     // after the TLS slot is destroyed; dropping the charge there is fine.
     let _ = ALLOCATED.try_with(|c| c.set(c.get() + bytes as u64));
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
 }
 
 /// A [`System`]-backed allocator that counts bytes requested per thread.
@@ -60,12 +62,33 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// subtracted): a decoder that allocates a huge buffer and drops it
 /// still gets charged, which is exactly what the bomb defence bounds.
 pub fn measure<R>(f: impl FnOnce() -> R) -> (R, Option<u64>) {
-    let before = ALLOCATED.with(Cell::get);
+    let (result, allocs) = measure_allocs(f);
+    (result, allocs.map(|a| a.bytes))
+}
+
+/// What one measured call asked of the allocator on its thread.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Allocs {
+    /// Allocation calls (`alloc`, `alloc_zeroed` and `realloc` each count
+    /// one).
+    pub calls: u64,
+    /// Bytes requested, as [`measure`] counts them.
+    pub bytes: u64,
+}
+
+/// [`measure`], reporting the number of allocation calls as well as the
+/// bytes.
+pub fn measure_allocs<R>(f: impl FnOnce() -> R) -> (R, Option<Allocs>) {
+    let read = || Allocs {
+        calls: CALLS.with(Cell::get),
+        bytes: ALLOCATED.with(Cell::get),
+    };
+    let before = read();
     let result = f();
-    let after = ALLOCATED.with(Cell::get);
-    if INSTALLED.load(Ordering::Relaxed) {
-        (result, Some(after - before))
-    } else {
-        (result, None)
-    }
+    let after = read();
+    let allocs = Allocs {
+        calls: after.calls - before.calls,
+        bytes: after.bytes - before.bytes,
+    };
+    (result, INSTALLED.load(Ordering::Relaxed).then_some(allocs))
 }

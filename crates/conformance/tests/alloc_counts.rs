@@ -4,10 +4,15 @@
 
 use std::borrow::Cow;
 
+use bindns::message::Question;
 use bindns::name::DomainName;
 use bindns::rr::{RData, RType, ResourceRecord};
 use bindns::zone::Zone;
-use conformance::alloc::{self, CountingAlloc};
+use conformance::alloc::{self, Allocs, CountingAlloc};
+use hns_core::cache::CacheMode;
+use hns_core::name::HnsName;
+use hns_core::query::QueryClass;
+use nsms::harness::Testbed;
 use wire::Value;
 
 #[global_allocator]
@@ -16,6 +21,13 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// Bytes allocated on this thread while `f` runs.
 fn bytes_allocated<R>(f: impl FnOnce() -> R) -> u64 {
     alloc::measure(f)
+        .1
+        .expect("the counting allocator is installed")
+}
+
+/// Allocation calls and bytes on this thread while `f` runs.
+fn allocs<R>(f: impl FnOnce() -> R) -> Allocs {
+    alloc::measure_allocs(f)
         .1
         .expect("the counting allocator is installed")
 }
@@ -83,5 +95,94 @@ fn record_labels_are_not_allocated() {
     assert_eq!(
         fields,
         3 * std::mem::size_of::<(Cow<'static, str>, Value)>() as u64
+    );
+}
+
+#[test]
+fn wire_leaves_clone_without_allocating() {
+    let text = Value::str("info.nsm-hrpcbinding-bind.hns");
+    let bytes = Value::bytes(vec![7u8; 200]);
+    assert_eq!(bytes_allocated(|| text.clone()), 0);
+    assert_eq!(bytes_allocated(|| bytes.clone()), 0);
+}
+
+#[test]
+fn decoded_leaves_are_one_allocation_each() {
+    let text = "fileservice=fiji.cs.washington.edu;root=/usr/src";
+    for value in [Value::str(text), Value::bytes(text.as_bytes())] {
+        let xdr = wire::xdr::encode(&value).expect("encode");
+        let courier = wire::courier::encode(&value).expect("encode");
+        for decode in [wire::xdr::decode(&xdr), wire::courier::decode(&courier)] {
+            assert_eq!(decode.as_ref(), Ok(&value));
+        }
+        // The shared buffer, built straight from the input: no
+        // intermediate `String` or `Vec`.
+        assert_eq!(allocs(|| wire::xdr::decode(&xdr)).calls, 1, "{value:?}");
+        assert_eq!(allocs(|| wire::courier::decode(&courier)).calls, 1);
+    }
+}
+
+#[test]
+fn rdata_serializes_into_one_exact_buffer() {
+    let header = 2 * std::mem::size_of::<usize>() as u64;
+    for rdata in [
+        RData::Opaque(
+            b"host=june.cs.washington.edu;hostctx=hns-hosts"
+                .to_vec()
+                .into(),
+        ),
+        RData::Text("VAX-II / Unix".into()),
+        RData::Domain(name("ns.cs.washington.edu")),
+        RData::Soa {
+            primary: name("ns.cs.washington.edu"),
+            serial: 7,
+            default_ttl: 3600,
+        },
+    ] {
+        let used = allocs(|| rdata.to_bytes().expect("fits"));
+        assert_eq!(
+            used,
+            Allocs {
+                calls: 1,
+                // The two reference counts, then the bytes, padded.
+                bytes: (header + rdata.wire_len() as u64).next_multiple_of(header / 2)
+            },
+            "{rdata:?}"
+        );
+        // Cloning a record's payload out of a zone copies nothing.
+        assert_eq!(bytes_allocated(|| rdata.clone()), 0);
+    }
+}
+
+#[test]
+fn a_question_value_shares_the_name() {
+    let question = Question::new(name("ctx.hrpcbinding-bind.hns"), RType::Unspec);
+    // The field vector is the one allocation: the name's text is shared.
+    assert_eq!(
+        bytes_allocated(|| question.to_value()),
+        2 * std::mem::size_of::<(Cow<'static, str>, Value)>() as u64
+    );
+    let value = question.to_value();
+    let back = Question::from_value(&value).expect("decode");
+    assert_eq!(back, question);
+    assert_eq!(bytes_allocated(|| Question::from_value(&value)), 0);
+}
+
+#[test]
+fn a_cold_find_nsm_stays_under_its_allocation_budget() {
+    let tb = Testbed::build();
+    tb.deploy_binding_nsms(tb.hosts.nsm, CacheMode::Disabled);
+    let hns = tb.make_hns(tb.hosts.client, CacheMode::Disabled);
+    let name = HnsName::new(tb.ctx_bind(), "fiji.cs.washington.edu").expect("name");
+    let qc = QueryClass::hrpc_binding();
+    // The first walk resolves lazily created metric handles; every later
+    // one is the steady cold walk: six meta mappings, each a remote call.
+    hns.find_nsm(&qc, &name).expect("first walk");
+    let walk = allocs(|| hns.find_nsm(&qc, &name).expect("cold walk"));
+    // Measured at 82 calls and 6,286 bytes; before names, payloads and
+    // wire leaves were shared, the same walk made 154 calls (10.5 KB).
+    assert!(
+        walk.calls <= 84 && walk.bytes <= 6_500,
+        "a cold FindNSM made {walk:?}"
     );
 }

@@ -440,11 +440,17 @@ impl<K: Copy + Hash + Eq + Debug> HnsCache<K> {
         })
     }
 
+    /// False for a [`CacheMode::Disabled`] cache, which stores nothing:
+    /// callers need not build (or intern) a key for it.
+    pub fn enabled(&self) -> bool {
+        self.mode() != CacheMode::Disabled
+    }
+
     /// True if a live (positive) entry exists. Charges nothing and moves
     /// no statistics — this is a structural peek, used to decide whether
     /// a speculative batch fetch is worthwhile.
     pub fn contains_live(&self, world: &World, key: &K) -> bool {
-        self.mode() != CacheMode::Disabled
+        self.enabled()
             && matches!(
                 self.map.probe(world.now(), key),
                 Probe::Live(entry, _) if !matches!(entry.stored, Stored::Negative)

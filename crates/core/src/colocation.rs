@@ -147,7 +147,7 @@ impl HnsClient {
                 let args = Value::record(vec![
                     ("query_class", Value::str(qc.as_str())),
                     ("context", Value::str(name.context.as_str())),
-                    ("name", Value::str(name.individual.clone())),
+                    ("name", Value::str(&name.individual)),
                 ]);
                 let reply = self
                     .net
@@ -244,7 +244,7 @@ impl AgentClient {
         let mut fields = vec![
             ("query_class", Value::str(qc.as_str())),
             ("context", Value::str(name.context.as_str())),
-            ("name", Value::str(name.individual.clone())),
+            ("name", Value::str(&name.individual)),
         ];
         fields.extend(extra);
         self.net

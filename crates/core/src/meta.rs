@@ -15,11 +15,11 @@
 //! 3. NSM name → NSM binding information (six records — this is the
 //!    6-resource-record row of Table 3.2).
 
-use bindns::error::Rcode;
-use bindns::message::Question;
-use bindns::name::DomainName;
+use bindns::error::{NsResult, Rcode};
+use bindns::message::{AnswerView, MultiAnswerView, Question};
+use bindns::name::{DomainName, MAX_NAME};
 use bindns::resolver::HrpcResolver;
-use bindns::rr::{RData, RType, ResourceRecord};
+use bindns::rr::{RData, RType, RecordView, ResourceRecord};
 use bindns::update::UpdateOp;
 use hrpc::error::RpcError;
 
@@ -74,22 +74,84 @@ pub struct MetaBatch {
 /// same derivation [`MetaStore`] uses client-side, exposed as a free
 /// function so the server-side chaser can recompute keys without a store.
 ///
-/// The key's text is assembled once: the sanitized parts, then the
-/// origin. Like any name it may not exceed 255 bytes, and a key needs at
+/// Like any name the key may not exceed 255 bytes, and a key needs at
 /// least one part.
 pub fn meta_key_at(origin: &DomainName, parts: &[&str]) -> HnsResult<DomainName> {
     if parts.is_empty() {
         return Err(HnsError::BadMetaRecord("meta key without parts".into()));
     }
-    let mut key = String::with_capacity(parts.len() * (MAX_PART + 1) + origin.wire_len());
-    for part in parts {
-        push_label(&mut key, part);
-        key.push('.');
+    key_at(origin, parts.iter().map(std::slice::from_ref))
+}
+
+/// Assembles a key's text on the stack — each part's pieces joined and
+/// sanitized into one label, then the origin — so the parsed name's
+/// buffer is the key's one allocation.
+fn key_at<'p>(
+    origin: &DomainName,
+    parts: impl IntoIterator<Item = &'p [&'p str]>,
+) -> HnsResult<DomainName> {
+    let mut key = KeyText::new();
+    for pieces in parts {
+        let mut len = 0;
+        'label: for piece in pieces {
+            for c in piece.chars() {
+                if len == MAX_PART {
+                    break 'label;
+                }
+                key.push(sanitize(c));
+                len += 1;
+            }
+        }
+        if len == 0 {
+            key.push(b'x');
+        }
+        key.push(b'.');
     }
+    // A root origin leaves the trailing dot, which `parse` drops.
     if !origin.is_root() {
-        key.push_str(origin.as_str());
+        origin.as_str().bytes().for_each(|b| key.push(b));
     }
-    DomainName::parse(&key).map_err(|e| HnsError::BadMetaRecord(e.to_string()))
+    let text = std::str::from_utf8(key.as_bytes())
+        .map_err(|_| HnsError::BadMetaRecord("meta key is not ASCII".into()))?;
+    DomainName::parse(text).map_err(|e| HnsError::BadMetaRecord(e.to_string()))
+}
+
+/// A meta key's text: on the stack while it can still be a name, spilled
+/// to the heap past that, so `parse` rejects it with its own error.
+struct KeyText {
+    buf: [u8; MAX_NAME + 1],
+    len: usize,
+    spill: Vec<u8>,
+}
+
+impl KeyText {
+    fn new() -> Self {
+        KeyText {
+            buf: [0; MAX_NAME + 1],
+            len: 0,
+            spill: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, byte: u8) {
+        if let Some(slot) = self.buf.get_mut(self.len) {
+            *slot = byte;
+            self.len += 1;
+        } else {
+            if self.spill.is_empty() {
+                self.spill.extend_from_slice(&self.buf);
+            }
+            self.spill.push(byte);
+        }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        if self.spill.is_empty() {
+            &self.buf[..self.len]
+        } else {
+            &self.spill
+        }
+    }
 }
 
 /// The meta key for a context record under `origin`.
@@ -103,7 +165,10 @@ pub fn nsm_name_key_at(
     name_service: &str,
     query_class: &str,
 ) -> HnsResult<DomainName> {
-    meta_key_at(origin, &["map", &format!("{name_service}--{query_class}")])
+    key_at(
+        origin,
+        [&["map"][..], &[name_service, "--", query_class][..]],
+    )
 }
 
 /// The meta key for an NSM-info record set under `origin`.
@@ -112,7 +177,6 @@ pub fn nsm_info_key_at(origin: &DomainName, nsm_name: &str) -> HnsResult<DomainN
 }
 
 /// Decodes a meta record set's UNSPEC payloads into a [`Fetched`] value.
-/// The records are consumed: each payload's bytes become its string.
 pub fn records_to_fetched(
     records: impl IntoIterator<Item = ResourceRecord>,
 ) -> HnsResult<Fetched<Vec<String>>> {
@@ -123,8 +187,9 @@ pub fn records_to_fetched(
         min_ttl = min_ttl.min(r.ttl);
         match r.rdata {
             RData::Opaque(bytes) => payloads.push(
-                String::from_utf8(bytes)
-                    .map_err(|_| HnsError::BadMetaRecord("non-UTF-8 payload".into()))?,
+                std::str::from_utf8(&bytes)
+                    .map_err(|_| HnsError::BadMetaRecord("non-UTF-8 payload".into()))?
+                    .to_owned(),
             ),
             other => {
                 return Err(HnsError::BadMetaRecord(format!(
@@ -133,31 +198,69 @@ pub fn records_to_fetched(
             }
         }
     }
+    Ok(fetched(payloads, min_ttl))
+}
+
+/// [`records_to_fetched`] read straight from a reply's record views:
+/// each `UNSPEC` payload becomes its string, with no record or name built
+/// on the way. A malformed record fails the outer result, as
+/// [`bindns::message::Answer::from_value`] would; a record that is no
+/// meta payload fails the inner one with `records_to_fetched`'s error.
+/// Every record is checked before a payload error is reported, so the
+/// outer error wins as it does when the answer is decoded first.
+pub fn views_to_fetched<'a>(
+    records: impl Iterator<Item = NsResult<RecordView<'a>>>,
+) -> NsResult<HnsResult<Fetched<Vec<String>>>> {
+    let mut payloads = Vec::with_capacity(records.size_hint().0);
+    let mut min_ttl = u32::MAX;
+    let mut refused = None;
+    for r in records {
+        let r = r?;
+        let payload = match r.opaque() {
+            Some(bytes) => std::str::from_utf8(bytes)
+                .map_err(|_| HnsError::BadMetaRecord("non-UTF-8 payload".into())),
+            None => Err(HnsError::BadMetaRecord(format!(
+                "expected UNSPEC, found {:?}",
+                RData::from_bytes(r.rdata)?
+            ))),
+        };
+        if refused.is_some() {
+            continue;
+        }
+        match payload {
+            Ok(payload) => {
+                min_ttl = min_ttl.min(r.ttl);
+                payloads.push(payload.to_owned());
+            }
+            Err(e) => refused = Some(e),
+        }
+    }
+    Ok(match refused {
+        Some(e) => Err(e),
+        None => Ok(fetched(payloads, min_ttl)),
+    })
+}
+
+fn fetched(payloads: Vec<String>, min_ttl: u32) -> Fetched<Vec<String>> {
     let rrs = payloads.len();
-    Ok(Fetched {
+    Fetched {
         value: payloads,
         rrs,
         ttl_secs: if rrs == 0 { META_TTL } else { min_ttl },
-    })
+    }
 }
 
 /// Longest label a meta-key part is cut to.
 const MAX_PART: usize = 60;
 
-/// Appends `s` sanitized into a safe domain label: lowercase ASCII
-/// letters, digits, `-` and `_`, every other character as `-`, at most
-/// [`MAX_PART`] of them, and `x` for an empty part.
-fn push_label(out: &mut String, s: &str) {
-    let start = out.len();
-    out.extend(s.chars().take(MAX_PART).map(|c| {
-        if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-            c.to_ascii_lowercase()
-        } else {
-            '-'
-        }
-    }));
-    if out.len() == start {
-        out.push('x');
+/// One character of a meta-key part as a safe label byte: lowercase
+/// ASCII letters, digits, `-` and `_`, and `-` for anything else. A part
+/// keeps at most [`MAX_PART`] characters, and an empty one becomes `x`.
+fn sanitize(c: char) -> u8 {
+    if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
+        c.to_ascii_lowercase() as u8
+    } else {
+        b'-'
     }
 }
 
@@ -224,11 +327,9 @@ impl MetaStore {
     }
 
     fn read(&self, name: &DomainName) -> HnsResult<Fetched<Vec<String>>> {
-        let records = self
-            .resolver
-            .query(name, RType::Unspec)
-            .map_err(HnsError::Rpc)?;
-        records_to_fetched(records)
+        self.resolver
+            .query_with(name, RType::Unspec, |records| views_to_fetched(records))
+            .map_err(HnsError::Rpc)?
     }
 
     /// Fetches `primary` plus whatever additional sets the meta server's
@@ -241,38 +342,9 @@ impl MetaStore {
     /// falls back to sequential fetches for anything missing.
     pub fn fetch_batch(&self, primary: &DomainName, hints: &[String]) -> HnsResult<MetaBatch> {
         let questions = [Question::new(primary.clone(), RType::Unspec)];
-        let multi = self
-            .resolver
-            .mquery(&questions, hints)
-            .map_err(HnsError::Rpc)?;
-        let answer = multi
-            .answers
-            .into_iter()
-            .next()
-            .ok_or_else(|| HnsError::BadMetaRecord("mquery reply missing answer".into()))?;
-        let primary_set = match answer.rcode {
-            Rcode::Ok => Some(records_to_fetched(answer.records)?),
-            Rcode::NameError | Rcode::NoData => None,
-            other => {
-                return Err(HnsError::Rpc(RpcError::Service(format!(
-                    "mquery rcode {other:?}"
-                ))))
-            }
-        };
-        let mut additional = Vec::with_capacity(multi.additional.len());
-        for set in multi.additional {
-            if set.rcode != Rcode::Ok {
-                continue;
-            }
-            let Some(owner) = set.records.first().map(|r| r.name.clone()) else {
-                continue;
-            };
-            additional.push((owner, records_to_fetched(set.records)?));
-        }
-        Ok(MetaBatch {
-            primary: primary_set,
-            additional,
-        })
+        self.resolver
+            .mquery_with(&questions, hints, read_batch)
+            .map_err(HnsError::Rpc)?
     }
 
     /// Registers (or replaces) a context.
@@ -384,6 +456,52 @@ impl MetaStore {
             ttl_secs: fetched.ttl_secs,
         })
     }
+}
+
+/// Reads a batched meta reply in place. Every set is read, in order,
+/// so a malformed record anywhere fails the outer result first; then the
+/// primary answer decides, and each live additional set with records
+/// becomes a payload list under its owner.
+fn read_batch(multi: MultiAnswerView<'_>) -> NsResult<HnsResult<MetaBatch>> {
+    let mut primary = None;
+    for set in multi.answers()? {
+        let set = AnswerView::read(set)?;
+        let fetched = views_to_fetched(set.records())?;
+        primary.get_or_insert((set.rcode, fetched));
+    }
+    let mut additional = Vec::new();
+    for set in multi.additional()? {
+        let set = AnswerView::read(set)?;
+        let fetched = views_to_fetched(set.records())?;
+        if set.rcode != Rcode::Ok {
+            continue;
+        }
+        if let Some(first) = set.records().next() {
+            additional.push((DomainName::adopt(first?.owner)?, fetched));
+        }
+    }
+    let batch = || {
+        let (rcode, fetched) =
+            primary.ok_or_else(|| HnsError::BadMetaRecord("mquery reply missing answer".into()))?;
+        let primary = match rcode {
+            Rcode::Ok => Some(fetched?),
+            Rcode::NameError | Rcode::NoData => None,
+            other => {
+                return Err(HnsError::Rpc(RpcError::Service(format!(
+                    "mquery rcode {other:?}"
+                ))))
+            }
+        };
+        let additional = additional
+            .into_iter()
+            .map(|(owner, fetched)| Ok((owner, fetched?)))
+            .collect::<HnsResult<_>>()?;
+        Ok(MetaBatch {
+            primary,
+            additional,
+        })
+    };
+    Ok(batch())
 }
 
 impl std::fmt::Debug for MetaStore {

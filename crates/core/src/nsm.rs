@@ -134,7 +134,7 @@ impl NsmClient {
         }
         let mut fields = Vec::with_capacity(2 + extra.len());
         fields.push(("context".into(), Value::str(hns_name.context.as_str())));
-        fields.push(("name".into(), Value::str(hns_name.individual.clone())));
+        fields.push(("name".into(), Value::str(&hns_name.individual)));
         fields.extend(extra);
         self.net
             .call(self.host, binding, NSM_PROC_QUERY, &Value::Struct(fields))
@@ -308,7 +308,7 @@ mod tests {
             QueryClass::new("Echo")
         }
         fn handle(&self, hns_name: &HnsName, _args: &Value) -> RpcResult<Value> {
-            Ok(Value::str(hns_name.individual.clone()))
+            Ok(Value::str(&hns_name.individual))
         }
     }
 

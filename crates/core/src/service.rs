@@ -314,7 +314,8 @@ impl Hns {
     /// is consulted first, then the cache; a miss enters the singleflight
     /// gate, so of several threads missing on the same key only one
     /// performs the remote fetch. A `NotFound` from the meta store is
-    /// remembered as a negative entry.
+    /// remembered as a negative entry. A disabled cache is skipped
+    /// altogether: no key is built and the store answers.
     fn cached_fetch_with(
         &self,
         key: &DomainName,
@@ -324,6 +325,10 @@ impl Hns {
         if let Some(fetched) = overlay.and_then(|o| o.get(key)) {
             self.world().cache_outcome(CacheOutcome::Overlay);
             return Ok(fetched.clone());
+        }
+        if !self.cache.enabled() {
+            self.world().cache_outcome(CacheOutcome::Miss);
+            return self.meta.fetch(key);
         }
         let cache_key = MetaKey::meta(key);
         // `lookup_or_fetch` loops through coalesced waits internally and
@@ -370,16 +375,14 @@ impl Hns {
                     }
                     Err(other) => return Err(other),
                 };
-                if self.cache.mode() != CacheMode::Disabled {
-                    let value = Value::List(fetched.value.iter().map(Value::str).collect());
-                    self.cache.insert(
-                        self.world(),
-                        cache_key,
-                        &value,
-                        fetched.rrs,
-                        fetched.ttl_secs,
-                    );
-                }
+                let value = Value::List(fetched.value.iter().map(Value::str).collect());
+                self.cache.insert(
+                    self.world(),
+                    cache_key,
+                    &value,
+                    fetched.rrs,
+                    fetched.ttl_secs,
+                );
                 Ok(fetched)
             }
         }
@@ -478,20 +481,30 @@ impl Hns {
         host_context: &Context,
     ) -> HnsResult<(HostId, u32)> {
         self.world().charge_ms(self.world().costs.hns_bookkeeping);
-        let cache_key = MetaKey::host_addr(host_ns, host_name);
-        let _guard = match self.cache.lookup_or_fetch(self.world(), &cache_key) {
-            LookupOrFetch::Hit {
-                value,
-                remaining_ttl_secs,
-            } => {
-                return Ok((
-                    HostId(value.u32_field("host").map_err(HnsError::from)?),
-                    remaining_ttl_secs,
-                ));
+        // A disabled cache gets no key, so nothing is interned for it.
+        let cache_key = self
+            .cache
+            .enabled()
+            .then(|| MetaKey::host_addr(host_ns, host_name));
+        let _guard = match &cache_key {
+            None => {
+                self.world().cache_outcome(CacheOutcome::Miss);
+                None
             }
-            // Host-address keys never cache negatives; fetch directly.
-            LookupOrFetch::NegativeHit => None,
-            LookupOrFetch::Lead(guard) => Some(guard),
+            Some(key) => match self.cache.lookup_or_fetch(self.world(), key) {
+                LookupOrFetch::Hit {
+                    value,
+                    remaining_ttl_secs,
+                } => {
+                    return Ok((
+                        HostId(value.u32_field("host").map_err(HnsError::from)?),
+                        remaining_ttl_secs,
+                    ));
+                }
+                // Host-address keys never cache negatives; fetch directly.
+                LookupOrFetch::NegativeHit => None,
+                LookupOrFetch::Lead(guard) => Some(guard),
+            },
         };
         let linked = Arc::clone(&self.linked_nsms.read())
             .get(ha_nsm_name)
@@ -517,7 +530,10 @@ impl Hns {
                 // Serve-stale for mapping 6: an expired host-address
                 // entry still names the right host far more often than
                 // not (paper §4).
-                if let Some(stale) = self.cache.lookup_stale(self.world(), &cache_key) {
+                let stale = cache_key
+                    .as_ref()
+                    .and_then(|key| self.cache.lookup_stale(self.world(), key));
+                if let Some(stale) = stale {
                     self.note_stale_serve(|| format!("hostaddr {host_name} ({err})"));
                     return Ok((
                         HostId(stale.value.u32_field("host").map_err(HnsError::from)?),
@@ -530,7 +546,9 @@ impl Hns {
         };
         let host = HostId(reply.u32_field("host").map_err(HnsError::from)?);
         let ttl = reply.u32_field("ttl").unwrap_or(crate::meta::META_TTL);
-        self.cache.insert(self.world(), cache_key, &reply, 1, ttl);
+        if let Some(key) = cache_key {
+            self.cache.insert(self.world(), key, &reply, 1, ttl);
+        }
         Ok((host, ttl))
     }
 
@@ -938,8 +956,9 @@ impl Hns {
         let mut index: HashMap<DomainName, usize> = HashMap::new();
         for rr in records {
             let payload = match &rr.rdata {
-                bindns::rr::RData::Opaque(bytes) => String::from_utf8(bytes.clone())
-                    .map_err(|_| HnsError::BadMetaRecord("non-UTF-8 payload".into()))?,
+                bindns::rr::RData::Opaque(bytes) => std::str::from_utf8(bytes)
+                    .map_err(|_| HnsError::BadMetaRecord("non-UTF-8 payload".into()))?
+                    .to_owned(),
                 _ => continue, // Only UNSPEC meta records preload.
             };
             match index.get(&rr.name) {

@@ -2,10 +2,11 @@
 
 use proptest::prelude::*;
 
+use bindns::message::{Answer, AnswerView};
 use bindns::name::DomainName;
 use hns_core::analysis::{Eq1Inputs, PreloadModel};
 use hns_core::cache::{CacheMode, HnsCache, MetaKey};
-use hns_core::meta::meta_key_at;
+use hns_core::meta::{meta_key_at, records_to_fetched, views_to_fetched};
 use hns_core::name::{Context, HnsName, NameMapping};
 use hns_core::nsm::{NsmInfo, SuiteTag};
 use hns_core::query::QueryClass;
@@ -61,6 +62,80 @@ fn meta_keys_over_255_bytes_are_rejected() {
         .expect("255 bytes is a legal name");
     assert_eq!(at_limit.wire_len(), 255);
     assert!(meta_key_at(&origin, &[sixty, sixty, sixty, sixty, "bbbbbbbb"]).is_err());
+}
+
+/// A record value as a meta reply may carry it: mostly well-formed
+/// `UNSPEC` payloads under one owner, but also other rdata (an address, a
+/// domain name), payloads that are not UTF-8, malformed rdata, owners
+/// that are not canonical or not names, and missing or mistyped fields.
+fn arb_reply_record() -> impl Strategy<Value = Value> {
+    let owner = (0u8..24, "[ -~]{0,12}").prop_map(|(pick, any)| match pick {
+        0 => "Info.NSM-bind.hns.".to_string(),
+        1 => "a..b".to_string(),
+        2 => ".".to_string(),
+        3 => any,
+        _ => "info.nsm-bind.hns".to_string(),
+    });
+    let rdata = (0u8..32, "[ -~]{0,16}").prop_map(|(pick, text)| match pick {
+        0 => vec![3, 0xFF, 0xFE],
+        1 => vec![0, 0, 0, 0, 7],
+        2 => b"\x01ns.hns".to_vec(),
+        3 => vec![0, 1],
+        4 => vec![9, 0],
+        5 => Vec::new(),
+        6 => vec![1, b'a', b'.', b'.', b'b'],
+        _ => [&[3u8][..], text.as_bytes()].concat(),
+    });
+    let rtype = (0u8..24).prop_map(|pick| match pick {
+        0 => 1u32,
+        1 => 999,
+        _ => 103,
+    });
+    (owner, rtype, 0u32..1000, rdata, 0u8..32).prop_map(|(owner, rtype, ttl, rdata, shape)| {
+        let mut fields = vec![
+            ("name", Value::str(owner)),
+            ("rtype", Value::U32(rtype)),
+            ("ttl", Value::U32(ttl)),
+            ("rdata", Value::bytes(rdata)),
+        ];
+        match shape {
+            0 => {
+                fields.remove(2);
+            }
+            1 => fields[3].1 = Value::U32(0),
+            2 => fields[0].1 = Value::U32(0),
+            _ => {}
+        }
+        Value::record(fields)
+    })
+}
+
+/// A QUERY reply: an outcome code (now and then an unknown one) and a
+/// few records, or a reply missing its record list.
+fn arb_meta_reply() -> impl Strategy<Value = Value> {
+    let rcode = (0u32..20).prop_map(|pick| pick.saturating_sub(11));
+    let records = proptest::collection::vec(arb_reply_record(), 0..5);
+    (rcode, records, 0u8..12).prop_map(|(rcode, records, shape)| match shape {
+        0 => Value::record([("rcode", Value::U32(rcode))]),
+        _ => Value::record([
+            ("rcode", Value::U32(rcode)),
+            ("answers", Value::List(records)),
+        ]),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn payload_reads_match_decoding_the_answer(reply in arb_meta_reply()) {
+        // The meta store reads payloads straight from the reply; decoding
+        // the answer first and then its records must give the same
+        // `Fetched`, and the same error at the same stage.
+        let decoded = Answer::from_value(&reply).map(|answer| records_to_fetched(answer.records));
+        let viewed = AnswerView::read(&reply).and_then(|view| views_to_fetched(view.records()));
+        prop_assert_eq!(viewed, decoded);
+    }
 }
 
 proptest! {

@@ -16,8 +16,8 @@ fn arb_value() -> impl Strategy<Value = Value> {
         Just(Value::Void),
         any::<bool>().prop_map(Value::Bool),
         any::<u32>().prop_map(Value::U32),
-        "[a-zA-Z0-9 .:_-]{0,32}".prop_map(Value::Str),
-        proptest::collection::vec(any::<u8>(), 0..48).prop_map(Value::Bytes),
+        "[a-zA-Z0-9 .:_-]{0,32}".prop_map(Value::from),
+        proptest::collection::vec(any::<u8>(), 0..48).prop_map(Value::bytes),
     ];
     leaf.prop_recursive(2, 16, 4, |inner| {
         prop_oneof![

@@ -137,8 +137,12 @@ impl Nsm for BindingBindNsm {
             .to_local(&hns_name.individual)
             .map_err(|e| RpcError::Service(e.to_string()))?;
 
-        let cache_key = (intern::intern(&local), intern::intern(service), program);
-        if let Some(cached) = self.cache.get(world, &cache_key) {
+        // A disabled cache gets no key, so nothing is interned for it.
+        let cache_key = self
+            .cache
+            .enabled()
+            .then(|| (intern::intern(&local), intern::intern(service), program));
+        if let Some(cached) = cache_key.and_then(|key| self.cache.get(world, &key)) {
             world.charge_ms(world.costs.nsm_assemble);
             return Ok(cached);
         }
@@ -168,8 +172,10 @@ impl Nsm for BindingBindNsm {
         };
         world.charge_ms(world.costs.generated_miss(BINDING_MARSHAL_RRS) + world.costs.nsm_assemble);
         let reply = binding.to_value();
-        self.cache
-            .insert(world, cache_key, &reply, CACHED_BINDING_RRS, ttl);
+        if let Some(key) = cache_key {
+            self.cache
+                .insert(world, key, &reply, CACHED_BINDING_RRS, ttl);
+        }
         Ok(reply)
     }
 }

@@ -6,7 +6,8 @@ use std::sync::Arc;
 
 use hns_core::cache::CacheMode;
 use hns_core::colocation::HnsHandle;
-use hns_core::name::HnsName;
+use hns_core::name::{HnsName, NameMapping};
+use hns_core::nsm::Nsm;
 use hns_core::query::QueryClass;
 use nsms::harness::{
     Testbed, DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, PRINT_SERVICE, PRINT_SERVICE_PROGRAM,
@@ -318,4 +319,43 @@ fn dynamic_updates_flow_into_findnsm_without_client_changes() {
         .find_nsm(&QueryClass::mailbox_location(), &fiji_name(&tb))
         .expect("mail NSM findable");
     assert_eq!(binding.host, tb.hosts.nsm);
+}
+
+#[test]
+fn disabled_caches_intern_no_keys() {
+    // A disabled cache stores nothing, so neither the HNS nor a binding
+    // NSM builds (and interns) a key for it; an enabled one does. Each
+    // probe uses text no other test interns.
+    let tb = Testbed::build();
+    let interned = |s: &str| hns_core::intern::global().get(s).is_some();
+    let registrar = tb.make_hns(tb.hosts.meta, CacheMode::Disabled);
+    for (mode, context) in [
+        (CacheMode::Disabled, "intern-probe-uncached"),
+        (CacheMode::Demarshalled, "intern-probe-cached"),
+    ] {
+        let nsms = tb.deploy_binding_nsms(tb.hosts.nsm, mode);
+        let context = hns_core::name::Context::new(context).expect("context");
+        registrar
+            .register_context(&context, nsms::harness::NS_BIND, &NameMapping::Identity)
+            .expect("register");
+        let hns = tb.make_hns(tb.hosts.client, mode);
+        let name = HnsName::new(context.clone(), "fiji.cs.washington.edu").expect("name");
+        hns.find_nsm(&QueryClass::hrpc_binding(), &name)
+            .expect("find");
+        let key = hns.meta().context_key(&context).expect("key");
+        assert_eq!(
+            interned(key.as_str()),
+            mode != CacheMode::Disabled,
+            "{mode:?}"
+        );
+
+        let service = format!("{}-service", context.as_str());
+        let args = Value::record([
+            ("service", Value::str(&service)),
+            ("program", Value::U32(DESIRED_SERVICE_PROGRAM.0)),
+        ]);
+        let ghost = HnsName::new(tb.ctx_bind(), "intern-probe.cs.washington.edu").expect("name");
+        assert!(nsms.bind.handle(&ghost, &args).is_err(), "no such host");
+        assert_eq!(interned(&service), mode != CacheMode::Disabled, "{mode:?}");
+    }
 }

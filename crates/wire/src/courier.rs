@@ -205,19 +205,20 @@ impl<'a> Cursor<'a> {
         Ok((hi << 16) | lo)
     }
 
-    fn read_opaque(&mut self) -> WireResult<Vec<u8>> {
+    /// Reads a length-prefixed, padded opaque in place.
+    fn read_opaque(&mut self) -> WireResult<&'a [u8]> {
         let len = self.read_u16()? as usize;
         let padded = len + len % 2;
         if self.remaining() < padded {
             return Err(WireError::Truncated);
         }
-        let data = self.bytes[self.pos..self.pos + len].to_vec();
+        let data = &self.bytes[self.pos..self.pos + len];
         self.pos += padded;
         Ok(data)
     }
 
-    fn read_string(&mut self) -> WireResult<String> {
-        String::from_utf8(self.read_opaque()?).map_err(|_| WireError::BadUtf8)
+    fn read_str(&mut self) -> WireResult<&'a str> {
+        std::str::from_utf8(self.read_opaque()?).map_err(|_| WireError::BadUtf8)
     }
 
     /// Reads one self-describing value.
@@ -233,8 +234,9 @@ impl<'a> Cursor<'a> {
                 let lo = self.read_u32()? as u64;
                 Ok(Value::U64((hi << 32) | lo))
             }
-            TAG_STR => Ok(Value::Str(self.read_string()?)),
-            TAG_BYTES => Ok(Value::Bytes(self.read_opaque()?)),
+            // Each leaf is one allocation, copied straight from the input.
+            TAG_STR => Ok(Value::Str(self.read_str()?.into())),
+            TAG_BYTES => Ok(Value::Bytes(self.read_opaque()?.into())),
             TAG_LIST => {
                 let n = self.read_u16()? as usize;
                 // Every element carries at least a 2-byte tag, so a count
@@ -258,7 +260,7 @@ impl<'a> Cursor<'a> {
                 }
                 let mut fields = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let name = self.read_string()?;
+                    let name = self.read_str()?.to_owned();
                     let v = self.read_value()?;
                     fields.push((name.into(), v));
                 }
@@ -330,7 +332,7 @@ mod tests {
                 "props",
                 Value::List(vec![Value::record(vec![("k", Value::U32(4))])]),
             ),
-            ("opt", Value::Opt(Some(Box::new(Value::Bytes(vec![9; 3]))))),
+            ("opt", Value::Opt(Some(Box::new(Value::bytes(vec![9; 3]))))),
         ]);
         roundtrip(&v);
     }

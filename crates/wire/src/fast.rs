@@ -211,7 +211,7 @@ mod tests {
                             crate::value::Value::record(vec![
                                 ("rtype", crate::value::Value::U32(r.rtype as u32)),
                                 ("ttl", crate::value::Value::U32(r.ttl)),
-                                ("rdata", crate::value::Value::Bytes(r.rdata.clone())),
+                                ("rdata", crate::value::Value::bytes(r.rdata.as_slice())),
                             ])
                         })
                         .collect(),

@@ -144,7 +144,7 @@ impl NodeCodec for StructNode {
                 .ok_or_else(|| WireError::FieldMissing(name.clone()))?;
             note_buffer();
             let mut name_buf = Vec::new();
-            xdr::encode_into(&Value::Str(name.clone()), &mut name_buf)?;
+            xdr::encode_into(&Value::str(name), &mut name_buf)?;
             // Strip the string tag: struct field names are bare opaques.
             scratch.extend_from_slice(&name_buf[4..]);
             let piece = codec.marshal(field)?;
@@ -314,7 +314,7 @@ mod tests {
                 Value::record(vec![
                     ("rtype", Value::U32(1)),
                     ("ttl", Value::U32(3600)),
-                    ("rdata", Value::Bytes(vec![i as u8; 16])),
+                    ("rdata", Value::bytes(vec![i as u8; 16])),
                 ])
             })
             .collect();

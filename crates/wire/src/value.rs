@@ -7,6 +7,7 @@
 
 use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::{WireError, WireResult};
 
@@ -23,10 +24,10 @@ pub enum Value {
     I32(i32),
     /// Unsigned 64-bit integer.
     U64(u64),
-    /// UTF-8 string.
-    Str(String),
-    /// Opaque bytes.
-    Bytes(Vec<u8>),
+    /// UTF-8 string, shared: a clone is a reference-count bump.
+    Str(Arc<str>),
+    /// Opaque bytes, shared like [`Value::Str`].
+    Bytes(Arc<[u8]>),
     /// Homogeneously-intended sequence (not enforced).
     List(Vec<Value>),
     /// Ordered named fields. Labels built in code are static and borrowed
@@ -38,9 +39,15 @@ pub enum Value {
 }
 
 impl Value {
-    /// Builds a string value.
-    pub fn str(s: impl Into<String>) -> Value {
-        Value::Str(s.into())
+    /// Builds a string value (one allocation, sized to the text).
+    pub fn str(s: impl AsRef<str>) -> Value {
+        Value::Str(Arc::from(s.as_ref()))
+    }
+
+    /// Builds a bytes value. A `Vec` is copied into a shared buffer; an
+    /// `Arc<[u8]>` is taken as it is.
+    pub fn bytes(b: impl Into<Arc<[u8]>>) -> Value {
+        Value::Bytes(b.into())
     }
 
     /// Builds a struct from `(name, value)` pairs. The static labels are
@@ -105,6 +112,18 @@ impl Value {
 
     /// Extracts a string slice.
     pub fn as_str(&self) -> WireResult<&str> {
+        match self {
+            Value::Str(s) => Ok(s),
+            other => Err(WireError::TypeMismatch {
+                expected: "str",
+                found: other.kind(),
+            }),
+        }
+    }
+
+    /// Extracts the shared string buffer, so a caller can keep the text
+    /// without copying it.
+    pub fn as_shared_str(&self) -> WireResult<&Arc<str>> {
         match self {
             Value::Str(s) => Ok(s),
             other => Err(WireError::TypeMismatch {
@@ -232,13 +251,13 @@ impl From<u32> for Value {
 
 impl From<&str> for Value {
     fn from(v: &str) -> Value {
-        Value::Str(v.to_string())
+        Value::Str(v.into())
     }
 }
 
 impl From<String> for Value {
     fn from(v: String) -> Value {
-        Value::Str(v)
+        Value::Str(v.into())
     }
 }
 
@@ -258,7 +277,7 @@ mod tests {
         assert_eq!(Value::U64(8).as_u64().unwrap(), 8);
         assert!(Value::Bool(true).as_bool().unwrap());
         assert_eq!(Value::str("hi").as_str().unwrap(), "hi");
-        assert_eq!(Value::Bytes(vec![1, 2]).as_bytes().unwrap(), &[1, 2]);
+        assert_eq!(Value::bytes(vec![1, 2]).as_bytes().unwrap(), &[1, 2]);
         assert_eq!(Value::List(vec![Value::Void]).as_list().unwrap().len(), 1);
     }
 

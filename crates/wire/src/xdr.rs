@@ -194,7 +194,8 @@ impl<'a> Cursor<'a> {
         Ok(v)
     }
 
-    fn read_opaque(&mut self) -> WireResult<Vec<u8>> {
+    /// Reads a length-prefixed, padded opaque in place.
+    fn read_opaque(&mut self) -> WireResult<&'a [u8]> {
         let len = self.read_u32()? as usize;
         if len > MAX_LEN {
             return Err(WireError::Oversize(len));
@@ -203,13 +204,13 @@ impl<'a> Cursor<'a> {
         if self.remaining() < padded {
             return Err(WireError::Truncated);
         }
-        let data = self.bytes[self.pos..self.pos + len].to_vec();
+        let data = &self.bytes[self.pos..self.pos + len];
         self.pos += padded;
         Ok(data)
     }
 
-    fn read_string(&mut self) -> WireResult<String> {
-        String::from_utf8(self.read_opaque()?).map_err(|_| WireError::BadUtf8)
+    fn read_str(&mut self) -> WireResult<&'a str> {
+        std::str::from_utf8(self.read_opaque()?).map_err(|_| WireError::BadUtf8)
     }
 
     /// Reads one self-describing value.
@@ -225,8 +226,9 @@ impl<'a> Cursor<'a> {
                 let lo = self.read_u32()? as u64;
                 Ok(Value::U64((hi << 32) | lo))
             }
-            TAG_STR => Ok(Value::Str(self.read_string()?)),
-            TAG_BYTES => Ok(Value::Bytes(self.read_opaque()?)),
+            // Each leaf is one allocation, copied straight from the input.
+            TAG_STR => Ok(Value::Str(self.read_str()?.into())),
+            TAG_BYTES => Ok(Value::Bytes(self.read_opaque()?.into())),
             TAG_LIST => {
                 let n = self.read_u32()? as usize;
                 if n > MAX_LEN {
@@ -256,7 +258,7 @@ impl<'a> Cursor<'a> {
                 }
                 let mut fields = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let name = self.read_string()?;
+                    let name = self.read_str()?.to_owned();
                     let v = self.read_value()?;
                     fields.push((name.into(), v));
                 }
@@ -300,8 +302,8 @@ mod tests {
     #[test]
     fn strings_and_bytes_roundtrip_with_padding() {
         for len in 0..9 {
-            roundtrip(&Value::Str("x".repeat(len)));
-            roundtrip(&Value::Bytes(vec![0xAB; len]));
+            roundtrip(&Value::str("x".repeat(len)));
+            roundtrip(&Value::bytes(vec![0xAB; len]));
         }
         roundtrip(&Value::str("fiji.cs.washington.edu"));
     }
@@ -324,7 +326,7 @@ mod tests {
             ),
             ("alias", Value::Opt(Some(Box::new(Value::str("f"))))),
             ("none", Value::Opt(None)),
-            ("blob", Value::Bytes(vec![1, 2, 3, 4, 5])),
+            ("blob", Value::bytes(vec![1, 2, 3, 4, 5])),
         ]);
         roundtrip(&v);
     }

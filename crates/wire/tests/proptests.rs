@@ -13,8 +13,8 @@ fn arb_value() -> impl Strategy<Value = Value> {
         any::<u32>().prop_map(Value::U32),
         any::<i32>().prop_map(Value::I32),
         any::<u64>().prop_map(Value::U64),
-        "[a-zA-Z0-9._-]{0,24}".prop_map(Value::Str),
-        proptest::collection::vec(any::<u8>(), 0..32).prop_map(Value::Bytes),
+        "[a-zA-Z0-9._-]{0,24}".prop_map(Value::from),
+        proptest::collection::vec(any::<u8>(), 0..32).prop_map(Value::bytes),
     ];
     leaf.prop_recursive(3, 24, 4, |inner| {
         prop_oneof![
